@@ -42,14 +42,16 @@ from .exceptions import (
     ParseError,
     RangeNotContained,
     ShapeError,
+    ToleranceAnomaly,
     UnknownEquationTag,
 )
 from .harness import Certificate, InstanceSpec, generate, random_unitary, ranked_matrix, verify
 from .kernel import (
     DEFAULT_TOL,
-    SvdResult,
+    Factorization,
     ToleranceConfig,
     as_matrix,
+    factor,
     pinv,
     psd_sqrt,
     svd,

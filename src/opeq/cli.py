@@ -24,9 +24,9 @@ from .exceptions import (
     OpeqError,
     RangeNotContained,
 )
-from .kernel import ToleranceConfig, pinv, svd
+from .kernel import ToleranceConfig, factor
 from .matrixio import load_matrix, matrix_to_obj, save_matrix
-from .projections import RangeDecision, numerical_rank
+from .projections import RangeDecision
 
 __all__ = ["run_command", "main", "make_truncated_shift", "truncated_shift_demo"]
 
@@ -66,21 +66,20 @@ def truncated_shift_demo(n: int, tol: ToleranceConfig | None = None) -> dict:
     tol = tol or ToleranceConfig()
     rows = []
     for j in range(1, n + 1):
-        t = make_truncated_shift(j)
-        sigma = svd(t).singular_values
-        rank = numerical_rank(t, tol)
+        f = factor(make_truncated_shift(j), tol)
         rows.append({
             "n": j,
             "dim": 2 * j,
-            "numerical_rank": rank,
-            "min_nonzero_singular_value": float(sigma[rank - 1]),
-            "pinv_norm": float(np.linalg.norm(pinv(t, tol), 2)),
+            "numerical_rank": f.rank,
+            "min_nonzero_singular_value": float(f.s[-1]),
+            # ||T+||_2 is the reciprocal of the least nonzero singular value.
+            "pinv_norm": float(1.0 / f.s[-1]),
         })
     full = rows[-1]
     return {
         "demo": "truncated-shift",
         "n": n,
-        "singular_values": [float(s) for s in svd(make_truncated_shift(n)).singular_values],
+        "singular_values": [float(s) for s in f.singular_values],
         "numerical_rank": full["numerical_rank"],
         "min_nonzero_singular_value": full["min_nonzero_singular_value"],
         "pinv_norm": full["pinv_norm"],

@@ -20,8 +20,8 @@ from .exceptions import (
     NotASolution,
     NotSolvable,
 )
-from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger, fro, pinv, psd_sqrt, spectral_norm, svd
-from .projections import RangeDecision, numerical_rank, projection_quad, range_inclusion
+from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, as_matrix, dagger, factor, fro, psd_sqrt, spectral_norm
+from .projections import RangeDecision, inclusion, range_inclusion
 
 __all__ = [
     "CongruenceDiagnosis",
@@ -72,15 +72,24 @@ class CongruenceDiagnosis:
 
 def diagnose_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> CongruenceDiagnosis:
     a, b, c = _congruence_shapes(a, b, c)
-    quad_a = projection_quad(a, tol)
-    quad_b = projection_quad(b, tol)
-    hyp_c_in_b = range_inclusion(c, b, tol)
-    hyp_cstar_in_a = range_inclusion(dagger(c), a, tol)
-    hyp3 = fro(dagger(b) @ dagger(c) @ quad_a.p_a)
-    hyp3_ok = hyp3 <= tol.residual_rel * max(spectral_norm(b) * fro(c), 1e-300)
+    return _diagnose(factor(a, tol), factor(b, tol), c, tol)
+
+
+def _criteria(fa: Factorization, fb: Factorization, c, tol):
+    """The range criteria R(C N_{B*}) in R(A) and R(C* N_{A*}) in R(B)."""
     norm_c = fro(c)
-    cond1 = range_inclusion(c @ quad_b.n_astar, a, tol, scale=norm_c)
-    cond2 = range_inclusion(dagger(c) @ quad_a.n_astar, b, tol, scale=norm_c)
+    return (
+        inclusion(fb.adjoint().right_n_a(c), fa, tol, scale=norm_c),
+        inclusion(fa.adjoint().right_n_a(dagger(c)), fb, tol, scale=norm_c),
+    )
+
+
+def _diagnose(fa: Factorization, fb: Factorization, c, tol) -> CongruenceDiagnosis:
+    hyp_c_in_b = inclusion(c, fb, tol)
+    hyp_cstar_in_a = inclusion(dagger(c), fa, tol)
+    hyp3 = fro(fa.adjoint().right_p_astar(dagger(fb.a) @ dagger(c)))
+    hyp3_ok = hyp3 <= tol.residual_rel * max(fb.norm * fro(c), 1e-300)
+    cond1, cond2 = _criteria(fa, fb, c, tol)
     hypotheses_hold = hyp_c_in_b.holds and hyp_cstar_in_a.holds and hyp3_ok
     return CongruenceDiagnosis(
         hyp_c_in_b=hyp_c_in_b,
@@ -111,25 +120,23 @@ def homogeneous_congruence(a, b, v1, v2, v3, tol: ToleranceConfig = DEFAULT_TOL)
             f"expected V1 {(q, p)}, V2 {(m, p)}, V3 {(q, m)}; "
             f"got {v1.shape}, {v2.shape}, {v3.shape}"
         )
-    quad_a = projection_quad(a, tol)
-    quad_b = projection_quad(b, tol)
-    rhs_x = b @ v1 @ quad_a.p_astar + v2 @ quad_a.n_a
-    rhs_y = quad_b.n_a @ v3 - quad_b.p_astar @ v1 @ dagger(a)
-    scale_x = spectral_norm(b) * fro(v1) + fro(v2)
-    scale_y = fro(v3) + fro(v1) * spectral_norm(a)
-    inc_x = range_inclusion(rhs_x, a, tol, scale=scale_x)
+    fa, fb = factor(a, tol), factor(b, tol)
+    fb_star = fb.adjoint()
+    rhs_x = fa.right_p_astar(b @ v1) + fa.right_n_a(v2)
+    rhs_y = fb_star.n_astar(v3) - fb_star.p_a(v1 @ dagger(a))
+    scale_x = fb.norm * fro(v1) + fro(v2)
+    scale_y = fro(v3) + fro(v1) * fa.norm
+    inc_x = inclusion(rhs_x, fa, tol, scale=scale_x)
     if not inc_x.holds:
         raise HypothesisViolated(
             f"R(B V1 P_A* + V2 N_A) not within R(A): residual {inc_x.residual:.3e}"
         )
-    inc_y = range_inclusion(dagger(rhs_y), b, tol, scale=scale_y)
+    inc_y = inclusion(dagger(rhs_y), fb, tol, scale=scale_y)
     if not inc_y.holds:
         raise HypothesisViolated(
             f"R(V3* N_B - A V1* P_B*) not within R(B): residual {inc_y.residual:.3e}"
         )
-    x = pinv(a, tol) @ rhs_x
-    y = rhs_y @ pinv(dagger(b), tol)
-    return x, y
+    return fa.pinv(rhs_x), fb_star.right_pinv(rhs_y)
 
 
 def solve_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
@@ -142,7 +149,8 @@ def solve_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     reduced solve; the intermediates stay on the diagnosis for audit.
     """
     a, b, c = _congruence_shapes(a, b, c)
-    diag = diagnose_congruence(a, b, c, tol)
+    fa, fb = factor(a, tol), factor(b, tol)
+    diag = _diagnose(fa, fb, c, tol)
     if not diag.hypotheses_hold:
         failing = []
         if not diag.hyp_c_in_b.holds:
@@ -161,11 +169,10 @@ def solve_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
             f"(residual {diag.cond_cstar_nastar_in_b.residual:.3e})",
             diagnosis=diag,
         )
-    quad_b = projection_quad(b, tol)
-    xhat = pinv(a, tol) @ c @ quad_b.n_astar
-    yhat_star = pinv(b, tol) @ dagger(c)
-    x = xhat @ pinv(dagger(a), tol)
-    y = dagger(yhat_star @ pinv(dagger(b), tol))
+    xhat = fa.pinv(fb.adjoint().right_n_a(c))
+    yhat_star = fb.pinv(dagger(c))
+    x = fa.adjoint().right_pinv(xhat)
+    y = dagger(fb.adjoint().right_pinv(yhat_star))
     norm_c = fro(c)
     residual = fro(a @ x @ dagger(a) + b @ y @ dagger(b) - c) / norm_c if norm_c else 0.0
     diag.xhat = xhat
@@ -196,11 +203,7 @@ def solvability_necessity_check(a, b, c, x, y, tol: ToleranceConfig = DEFAULT_TO
         raise NotASolution(
             f"(x, y) does not solve A X A* + B Y B* = C: residual {defect:.3e}"
         )
-    quad_a = projection_quad(a, tol)
-    quad_b = projection_quad(b, tol)
-    norm_c = fro(c)
-    inc1 = range_inclusion(c @ quad_b.n_astar, a, tol, scale=norm_c)
-    inc2 = range_inclusion(dagger(c) @ quad_a.n_astar, b, tol, scale=norm_c)
+    inc1, inc2 = _criteria(factor(a, tol), factor(b, tol), c, tol)
     return NecessityReport(cnbstar_in_a=inc1, cstar_nastar_in_b=inc2,
                            passed=inc1.holds and inc2.holds)
 
@@ -235,7 +238,7 @@ class IntersectionReport:
 def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> IntersectionReport:
     """Compute R(A) intersect R(B) together with its PSD block certificate.
 
-    P = I - pinv(T) T projects onto N(T) for the live block row T = [A -B];
+    P = N_T = I - pinv(T) T projects onto N(T) for the live block row T = [A -B];
     its diagonal blocks X, Y are PSD and satisfy A X = B Z, A Z* = B Y, and
     the intersection equals R(A X) + R(A Z*).  The dimension is
     cross-checked against rank A + rank B - rank [A B].
@@ -243,36 +246,26 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
     a, b = as_matrix(a), as_matrix(b)
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"A and B must share rows: {a.shape} vs {b.shape}")
-    m = a.shape[0]
     p, q = a.shape[1], b.shape[1]
-    t = np.hstack([a, -b])
-    proj = np.eye(p + q, dtype=np.complex128) - pinv(t, tol) @ t
+    proj = factor(np.hstack([a, -b]), tol).right_n_a(np.eye(p + q, dtype=np.complex128))
     proj = (proj + proj.conj().T) / 2.0
     x_block = proj[:p, :p]
     zstar = proj[:p, p:]
     z_block = proj[p:, :p]
     y_block = proj[p:, p:]
 
-    span = np.hstack([a @ x_block, a @ zstar])
-    if span.size == 0 or not span.any():
-        basis = np.zeros((m, 0), dtype=np.complex128)
-    else:
-        f = svd(span)
-        # The cutoff is anchored to ||A|| rather than to the span itself:
-        # when the intersection is trivial the span is pure roundoff and
-        # must not be promoted to rank one by a self-relative threshold.
-        cutoff = spectral_norm(a) * tol.rank_rel * max(span.shape)
-        basis = f.u[:, f.singular_values > cutoff]
+    fa = factor(a, tol)
+    # The span's cutoff is anchored to ||A|| rather than to the span itself:
+    # when the intersection is trivial the span is pure roundoff and must
+    # not be promoted to rank one by a self-relative threshold.
+    basis = factor(np.hstack([a @ x_block, a @ zstar]), tol, anchor=fa.norm).u
 
-    s = np.hstack([a, b])
-    p_ns = np.eye(p + q, dtype=np.complex128) - pinv(s, tol) @ s
-    pn_s_residual = fro((np.eye(p + q, dtype=np.complex128) - p_ns) @ proj @ p_ns)
+    fs = factor(np.hstack([a, b]), tol)
+    pn_s_residual = fro(fs.adjoint().p_a(fs.right_n_a(proj)))
 
     scale = max(fro(a) + fro(b), 1e-300)
-    rank_a = numerical_rank(a, tol)
-    rank_b = numerical_rank(b, tol)
-    rank_stacked = numerical_rank(s, tol)
-    sqrt_axa = psd_sqrt(a @ x_block @ dagger(a), scale=spectral_norm(a) ** 2)
+    rank_b = factor(b, tol).rank
+    sqrt_axa = psd_sqrt(a @ x_block @ dagger(a), scale=fa.norm ** 2)
     return IntersectionReport(
         x_block=x_block,
         z_block=z_block,
@@ -280,10 +273,10 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
         projection=proj,
         basis=basis,
         dim=basis.shape[1],
-        dim_rank_formula=rank_a + rank_b - rank_stacked,
-        rank_a=rank_a,
+        dim_rank_formula=fa.rank + rank_b - fs.rank,
+        rank_a=fa.rank,
         rank_b=rank_b,
-        rank_stacked=rank_stacked,
+        rank_stacked=fs.rank,
         pn_s_residual=pn_s_residual,
         ax_eq_bz_residual=fro(a @ x_block - b @ z_block) / scale,
         azstar_eq_by_residual=fro(a @ zstar - b @ y_block) / scale,
@@ -320,15 +313,16 @@ def solve_congruence_cz(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     rep = range_intersection(a, b, tol)
     if rep.dim == 0:
         raise EmptyIntersection("R(A) and R(B) intersect only in 0")
-    inclusion = range_inclusion(rep.basis, c, tol)
-    if not inclusion.holds:
+    fc = factor(c, tol)
+    basis_in_c = inclusion(rep.basis, fc, tol)
+    if not basis_in_c.holds:
         raise IntersectionNotInRangeC(
-            f"R(A) intersect R(B) is not contained in R(C): residual {inclusion.residual:.3e}"
+            f"R(A) intersect R(B) is not contained in R(C): residual {basis_in_c.residual:.3e}"
         )
     x = rep.x_block
     y = rep.y_block
     target = a @ x @ dagger(a) + b @ y @ dagger(b)
-    z = pinv(c, tol) @ target
+    z = fc.pinv(target)
     norm_t = fro(target)
     residual = fro(c @ z - target) / norm_t if norm_t else 0.0
     norms = (spectral_norm(x), spectral_norm(y), spectral_norm(z))
@@ -339,6 +333,6 @@ def solve_congruence_cz(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
         z_norm=norms[2],
         nonzero=all(v > 1e-10 for v in norms),
         intersection=rep,
-        basis_in_range_c=inclusion,
+        basis_in_range_c=basis_in_c,
     )
     return x, y, z, report

@@ -60,6 +60,10 @@ class UnknownEquationTag(OpeqError):
     """verify() received an equation tag it does not know."""
 
 
+class ToleranceAnomaly(OpeqError):
+    """A check the mathematics guarantees failed; only happens near a tolerance threshold."""
+
+
 class InfeasibleSpec(OpeqError):
     """Instance generation targets are incompatible with the shape."""
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import congruence, sylvester
-from .exceptions import InfeasibleSpec, UnknownEquationTag
-from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger, fro, spectral_norm
-from .projections import projection_quad, range_inclusion
+from .douglas import majorization_gap
+from .exceptions import InfeasibleSpec, ToleranceAnomaly, UnknownEquationTag
+from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger, factor, fro, spectral_norm
+from .projections import inclusion
 from .rng import Xoshiro256StarStar, complex_normal_matrix
 
 __all__ = [
@@ -137,9 +138,7 @@ def _gen_sylvester(spec: InstanceSpec, rng) -> dict:
                 "an unsolvable component needs rank A < m and rank B < n, "
                 f"got rank A = {ra} (m = {m}), rank B = {rb} (n = {n})"
             )
-        quad_a = projection_quad(a)
-        quad_b = projection_quad(b)
-        blocked = quad_a.n_astar @ complex_normal_matrix(rng, m, n) @ quad_b.n_a
+        blocked = factor(a).n_astar(factor(b).right_n_a(complex_normal_matrix(rng, m, n)))
         norm_blocked = fro(blocked)
         if norm_blocked == 0.0:
             raise InfeasibleSpec("injected component degenerated to zero")
@@ -231,7 +230,7 @@ def _gen_congruence(spec: InstanceSpec, rng) -> dict:
     diag = congruence.diagnose_congruence(a, b, c)
     want_solvable = spec.family == "congruence-solvable"
     if not diag.hypotheses_hold or diag.solvable != want_solvable:
-        raise RuntimeError(
+        raise ToleranceAnomaly(
             f"generated {spec.family} instance failed its contract "
             f"(hypotheses {diag.hypotheses_hold}, solvable {diag.solvable})"
         )
@@ -286,29 +285,29 @@ def _get(mapping: dict, *names):
     return out
 
 
+def _failures(failed: dict, decisions: dict) -> list:
+    """Names of the failed residual checks, then of the decisions that do not hold."""
+    return [name for name, bad in failed.items() if bad] + [
+        name for name, dec in decisions.items() if not dec.holds]
+
+
 def _verify_douglas(ops, sol, tol):
     a, c = _get(ops, "A", "C")
     (x,) = _get(sol, "X")
-    residuals = {}
-    failures = []
-    residuals["equation"] = _rel(fro(a @ x - c), max(fro(c), 1e-300))
-    if residuals["equation"] > tol.residual_rel:
-        failures.append("equation")
-    p_astar = projection_quad(a, tol).p_astar
-    residuals["reducedness"] = _rel(fro(x - p_astar @ x), max(fro(x), 1e-300))
-    if residuals["reducedness"] > 1e-10:
-        failures.append("reducedness")
+    fa = factor(a, tol)
     lam = spectral_norm(x) ** 2
-    residuals["lambda"] = lam
-    aa = a @ dagger(a)
-    gap = float(np.linalg.eigvalsh(lam * (1.0 + 1e-8) * aa - c @ dagger(c))[0])
-    residuals["majorization_gap"] = _rel(min(gap, 0.0), max(spectral_norm(aa), 1e-300))
-    if residuals["majorization_gap"] < -1e-8:
-        failures.append("majorization_gap")
-    decisions = {"range_c_in_a": range_inclusion(c, a, tol)}
-    if not decisions["range_c_in_a"].holds:
-        failures.append("range_c_in_a")
-    return residuals, decisions, failures
+    residuals = {
+        "equation": _rel(fro(a @ x - c), max(fro(c), 1e-300)),
+        "reducedness": _rel(fro(fa.adjoint().n_astar(x)), max(fro(x), 1e-300)),
+        "lambda": lam,
+        "majorization_gap": majorization_gap(lam, a @ dagger(a), c, fa.norm ** 2),
+    }
+    decisions = {"range_c_in_a": inclusion(c, fa, tol)}
+    return residuals, decisions, _failures({
+        "equation": residuals["equation"] > tol.residual_rel,
+        "reducedness": residuals["reducedness"] > 1e-10,
+        "majorization_gap": residuals["majorization_gap"] < -1e-8,
+    }, decisions)
 
 
 def _verify_sylvester(ops, sol, tol):
@@ -320,44 +319,39 @@ def _verify_sylvester(ops, sol, tol):
         "classical": _rel(diag.classical_residual, max(fro(c), 1e-300)),
     }
     decisions = {"cond_range_cnb": diag.cond_range_cnb, "cond_range_pbc": diag.cond_range_pbc}
-    failures = [name for name, value in residuals.items() if value > tol.residual_rel]
-    failures += [name for name, dec in decisions.items() if not dec.holds]
-    return residuals, decisions, failures
+    return residuals, decisions, _failures(
+        {name: value > tol.residual_rel for name, value in residuals.items()}, decisions)
 
 
 def _verify_orthogonal(ops, sol, tol):
     a, b, c = _get(ops, "A", "B", "C")
     x, y = _get(sol, "X", "Y")
     lam = float(sol.get("lam", max(spectral_norm(np.vstack([x, y])) ** 2, 0.0)))
+    # ||A A* + B B*||_2 = ||[A B]||_2^2
+    fab = factor(np.hstack([a, b]), tol)
     residuals = {
         "equation": _rel(fro(a @ x + b @ y - c), max(fro(c), 1e-300)),
         "orthogonality": _rel(fro(dagger(a) @ b), max(spectral_norm(a) * spectral_norm(b), 1e-300)),
         "lambda": lam,
+        "majorization_gap": majorization_gap(lam, a @ dagger(a) + b @ dagger(b), c, fab.norm ** 2),
     }
-    gram = a @ dagger(a) + b @ dagger(b)
-    gap = float(np.linalg.eigvalsh(lam * (1.0 + 1e-8) * gram - c @ dagger(c))[0])
-    residuals["majorization_gap"] = _rel(min(gap, 0.0), max(spectral_norm(gram), 1e-300))
-    decisions = {"range_c_in_ab": range_inclusion(c, np.hstack([a, b]), tol)}
-    failures = []
-    if residuals["equation"] > tol.residual_rel:
-        failures.append("equation")
-    if residuals["orthogonality"] > 1e-10:
-        failures.append("orthogonality")
-    if residuals["majorization_gap"] < -1e-8:
-        failures.append("majorization_gap")
-    if not decisions["range_c_in_ab"].holds:
-        failures.append("range_c_in_ab")
-    return residuals, decisions, failures
+    decisions = {"range_c_in_ab": inclusion(c, fab, tol)}
+    return residuals, decisions, _failures({
+        "equation": residuals["equation"] > tol.residual_rel,
+        "orthogonality": residuals["orthogonality"] > 1e-10,
+        "majorization_gap": residuals["majorization_gap"] < -1e-8,
+    }, decisions)
 
 
 def _verify_congruence(ops, sol, tol):
     a, b, c = _get(ops, "A", "B", "C")
     x, y = _get(sol, "X", "Y")
-    diag = congruence.diagnose_congruence(a, b, c, tol)
+    fb = factor(b, tol)
+    diag = congruence._diagnose(factor(a, tol), fb, c, tol)
     residuals = {
         "equation": _rel(fro(a @ x @ dagger(a) + b @ y @ dagger(b) - c), max(fro(c), 1e-300)),
         "hyp_cstar_pa_in_nbstar": _rel(diag.hyp_cstar_pa_in_nbstar,
-                                       max(spectral_norm(b) * fro(c), 1e-300)),
+                                       max(fb.norm * fro(c), 1e-300)),
     }
     decisions = {
         "hyp_c_in_b": diag.hyp_c_in_b,
@@ -365,9 +359,8 @@ def _verify_congruence(ops, sol, tol):
         "cond_cnbstar_in_a": diag.cond_cnbstar_in_a,
         "cond_cstar_nastar_in_b": diag.cond_cstar_nastar_in_b,
     }
-    failures = [name for name, value in residuals.items() if value > tol.residual_rel]
-    failures += [name for name, dec in decisions.items() if not dec.holds]
-    return residuals, decisions, failures
+    return residuals, decisions, _failures(
+        {name: value > tol.residual_rel for name, value in residuals.items()}, decisions)
 
 
 def _verify_congruence_cz(ops, sol, tol):
@@ -379,15 +372,15 @@ def _verify_congruence_cz(ops, sol, tol):
     failures = []
     if residuals["equation"] > tol.residual_rel:
         failures.append("equation")
+    norms = {name: spectral_norm(block) for name, block in (("x", x), ("y", y), ("z", z))}
     for name, block in (("x", x), ("y", y)):
         herm = _rel(fro(block - dagger(block)), max(fro(block), 1e-300))
         mineig = float(np.linalg.eigvalsh((block + dagger(block)) / 2.0)[0])
-        residuals[f"{name}_psd_gap"] = _rel(min(mineig, 0.0), max(spectral_norm(block), 1e-300))
+        residuals[f"{name}_psd_gap"] = _rel(min(mineig, 0.0), max(norms[name], 1e-300))
         residuals[f"{name}_hermitian_defect"] = herm
         if herm > 1e-10 or residuals[f"{name}_psd_gap"] < -1e-10:
             failures.append(f"{name}_psd")
-    for name, block in (("x", x), ("y", y), ("z", z)):
-        norm = spectral_norm(block)
+    for name, norm in norms.items():
         residuals[f"{name}_norm"] = norm
         if norm <= 1e-10:
             failures.append(f"{name}_nonzero")

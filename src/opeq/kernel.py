@@ -1,13 +1,14 @@
-"""Dense complex matrix primitives: SVD, Moore-Penrose inverse, PSD square root.
+"""Dense complex matrix primitives: SVD, factorization, Moore-Penrose inverse, PSD square root.
 
-Operators are plain 2-D ``numpy`` arrays with complex128 entries; every
-rank and range decision made elsewhere in the package descends from the
-single cutoff rule defined here (see :class:`ToleranceConfig`).
+Operators are plain 2-D ``numpy`` arrays with complex128 entries.  Every
+rank and range decision made elsewhere in the package goes through
+:func:`factor`, the one place the rank cutoff (see :class:`ToleranceConfig`)
+is applied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,10 +17,11 @@ from .exceptions import EmptyMatrix, NotPSD
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
-    "SvdResult",
+    "Factorization",
     "as_matrix",
     "svd",
     "rank_cutoff",
+    "factor",
     "pinv",
     "psd_sqrt",
     "fro",
@@ -74,55 +76,99 @@ def fro(m) -> float:
 
 def spectral_norm(m) -> float:
     """Largest singular value; 0.0 for empty or all-zero input."""
-    m = as_matrix(m)
-    if m.size == 0 or not m.any():
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    return factor(m).norm
+
+
+def rank_cutoff(norm: float, shape, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Cutoff below which singular values count as zero: norm * rank_rel * max(shape)."""
+    return norm * tol.rank_rel * max(shape)
 
 
 @dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD ``m = u @ diag(singular_values) @ v.conj().T``.
+class Factorization:
+    """Truncated thin SVD ``a = u @ diag(s) @ v.conj().T`` of one operator.
 
-    ``u`` and ``v`` have orthonormal columns; singular values are real,
-    nonnegative and descending.
+    ``u`` (m-by-r) and ``v`` (n-by-r) keep the singular vectors whose value
+    clears the cutoff, so they are orthonormal bases of R(a) and R(a*);
+    ``singular_values`` is the whole descending spectrum and ``norm`` its
+    largest entry (0.0 for a zero or empty operator).  Projections and
+    the Moore-Penrose inverse are applied through the factors, never formed.
+    Names follow :class:`~opeq.projections.ProjectionQuad` (``p_a`` is P_A,
+    ``n_astar`` is N_{A*} = I - P_A, ``p_astar`` is P_{A*}, ``n_a`` is
+    N_A = I - P_{A*}); ``right_`` methods multiply from the right.  The
+    adjoint is free, so P_{A*} c is ``f.adjoint().p_a(c)``.
     """
 
+    a: np.ndarray
     u: np.ndarray
-    singular_values: np.ndarray
+    s: np.ndarray
     v: np.ndarray
+    singular_values: np.ndarray
+    rank: int
+    norm: float
+
+    def adjoint(self) -> Factorization:
+        """Factorization of a*: the same spectrum with u and v swapped."""
+        return replace(self, a=self.a.conj().T, u=self.v, v=self.u)
+
+    def p_a(self, c) -> np.ndarray:
+        """P_A c = u (u* c)."""
+        return self.u @ (self.u.conj().T @ c)
+
+    def n_astar(self, c) -> np.ndarray:
+        """N_{A*} c = c - P_A c."""
+        return c - self.p_a(c)
+
+    def right_p_astar(self, c) -> np.ndarray:
+        """c P_{A*} = (c v) v*."""
+        return (c @ self.v) @ self.v.conj().T
+
+    def right_n_a(self, c) -> np.ndarray:
+        """c N_A = c - c P_{A*}."""
+        return c - self.right_p_astar(c)
+
+    def pinv(self, c) -> np.ndarray:
+        """A+ c = v diag(1/s) (u* c)."""
+        return self.v @ ((self.u.conj().T @ c) / self.s[:, None])
+
+    def right_pinv(self, c) -> np.ndarray:
+        """c A+ = ((c v) diag(1/s)) u*."""
+        return ((c @ self.v) / self.s) @ self.u.conj().T
 
 
-def svd(m) -> SvdResult:
+def factor(a, tol: ToleranceConfig = DEFAULT_TOL, anchor: float | None = None) -> Factorization:
+    """Factor ``a`` once; the only place the rank cutoff is applied.
+
+    Singular values above ``rank_cutoff(sigma_max, a.shape, tol)`` count as
+    nonzero.  An empty or all-zero ``a`` gets rank 0 without a LAPACK call.
+    ``anchor`` replaces sigma_max as the magnitude the cutoff is relative
+    to, for a matrix whose own norm may be pure roundoff.
+    """
+    a = as_matrix(a)
+    rows, cols = a.shape
+    if not a.any():
+        u, sv, vh = (np.zeros((rows, 0), dtype=np.complex128), np.zeros(min(rows, cols)),
+                     np.zeros((0, cols), dtype=np.complex128))
+    else:
+        u, sv, vh = np.linalg.svd(a, full_matrices=False)
+    norm = float(sv[0]) if sv.size else 0.0
+    r = int(np.count_nonzero(sv > rank_cutoff(norm if anchor is None else anchor, a.shape, tol)))
+    return Factorization(a=a, u=u[:, :r], s=sv[:r], v=vh[:r].conj().T, singular_values=sv,
+                         rank=r, norm=norm)
+
+
+def svd(m) -> Factorization:
+    """Thin SVD keeping every nonzero singular value: :func:`factor` with a zero cutoff."""
     m = as_matrix(m)
     if m.size == 0:
         raise EmptyMatrix(f"cannot factor an empty matrix of shape {m.shape}")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return SvdResult(u=u, singular_values=s, v=vh.conj().T)
-
-
-def rank_cutoff(singular_values, shape, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Cutoff below which singular values are treated as zero."""
-    if len(singular_values) == 0:
-        return 0.0
-    return float(singular_values[0]) * tol.rank_rel * max(shape)
+    return factor(m, anchor=0.0)
 
 
 def pinv(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse via truncated SVD.
-
-    The zero matrix maps to the transpose-shaped zero matrix, so the
-    projection formulas built on top never need a special case.
-    """
-    m = as_matrix(m)
-    if m.size == 0 or not m.any():
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    f = svd(m)
-    keep = f.singular_values > rank_cutoff(f.singular_values, m.shape, tol)
-    u = f.u[:, keep]
-    s = f.singular_values[keep]
-    v = f.v[:, keep]
-    return (v / s) @ u.conj().T
+    """Moore-Penrose inverse via truncated SVD; the zero matrix maps to the transpose-shaped zero."""
+    f = factor(m, tol)
+    return f.pinv(np.eye(f.a.shape[0], dtype=np.complex128))
 
 
 def psd_sqrt(m, scale: float | None = None) -> np.ndarray:

@@ -139,13 +139,14 @@ def check_module_linearity(op: ModuleOperator, trials: int = 20, seed: int = 0,
     k, n = op.domain.k, op.domain.n
     worst = 0.0
     scale = 0.0
+    op_norm = spectral_norm(op.data)
     for _ in range(trials):
         x = ModuleElement(op.domain, _crandn(rng, n * k, k))
         a = _crandn(rng, k, k)
         left = fn(right_action(x, a)).data
         right = right_action(fn(x), a).data
         worst = max(worst, fro(left - right))
-        scale = max(scale, spectral_norm(op.data) * fro(x.data) * spectral_norm(a))
+        scale = max(scale, op_norm * fro(x.data) * spectral_norm(a))
     return LinearityReport(max_deviation=worst, scale=scale, passed=worst <= 1e-12 * max(scale, 1.0))
 
 

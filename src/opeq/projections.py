@@ -7,13 +7,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionMismatch
-from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, fro, rank_cutoff, svd
+from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, as_matrix, factor, fro
 
 __all__ = [
     "ProjectionQuad",
     "RangeDecision",
     "projection_quad",
     "numerical_rank",
+    "inclusion",
     "range_inclusion",
     "range_equal",
 ]
@@ -25,8 +26,9 @@ class ProjectionQuad:
 
     ``p_a`` projects onto R(a) (codomain side), ``p_astar`` onto R(a*)
     (domain side); ``n_a = I - p_astar`` and ``n_astar = I - p_a`` project
-    onto the kernel and cokernel.  Built from SVD factors so each one is a
-    Hermitian idempotent up to one rounding.
+    onto the kernel and cokernel.  Each is the matching
+    :class:`Factorization` method applied to the identity; the solvers
+    apply those methods directly and never form these matrices.
     """
 
     p_a: np.ndarray
@@ -35,37 +37,16 @@ class ProjectionQuad:
     n_astar: np.ndarray
 
 
-def _hermitianize(p: np.ndarray) -> np.ndarray:
-    return (p + p.conj().T) / 2.0
-
-
 def projection_quad(a, tol: ToleranceConfig = DEFAULT_TOL) -> ProjectionQuad:
-    a = as_matrix(a)
-    rows, cols = a.shape
-    if a.size == 0 or not a.any():
-        p_a = np.zeros((rows, rows), dtype=np.complex128)
-        p_astar = np.zeros((cols, cols), dtype=np.complex128)
-    else:
-        f = svd(a)
-        keep = f.singular_values > rank_cutoff(f.singular_values, a.shape, tol)
-        u = f.u[:, keep]
-        v = f.v[:, keep]
-        p_a = _hermitianize(u @ u.conj().T)
-        p_astar = _hermitianize(v @ v.conj().T)
-    return ProjectionQuad(
-        p_a=p_a,
-        p_astar=p_astar,
-        n_a=np.eye(cols, dtype=np.complex128) - p_astar,
-        n_astar=np.eye(rows, dtype=np.complex128) - p_a,
-    )
+    f = factor(a, tol)
+    f_star = f.adjoint()
+    eye_m, eye_n = (np.eye(k, dtype=np.complex128) for k in f.a.shape)
+    return ProjectionQuad(p_a=f.p_a(eye_m), p_astar=f_star.p_a(eye_n),
+                          n_a=f_star.n_astar(eye_n), n_astar=f.n_astar(eye_m))
 
 
 def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    a = as_matrix(a)
-    if a.size == 0 or not a.any():
-        return 0
-    s = svd(a).singular_values
-    return int(np.count_nonzero(s > rank_cutoff(s, a.shape, tol)))
+    return factor(a, tol).rank
 
 
 @dataclass(frozen=True)
@@ -81,34 +62,37 @@ class RangeDecision:
     rank_data: dict = field(default_factory=dict)
 
 
-def range_inclusion(c, a, tol: ToleranceConfig = DEFAULT_TOL,
-                    scale: float | None = None) -> RangeDecision:
-    """Decide R(c) subset-of R(a) by projection residual.
+def inclusion(c, f: Factorization, tol: ToleranceConfig = DEFAULT_TOL,
+              scale: float | None = None) -> RangeDecision:
+    """Decide R(c) subset-of R(a) for an operator ``a`` already factored as ``f``.
 
-    The decision is residual-based; the rank comparison of [a c] against a
-    is computed only as corroborating data.  A zero c is included in any
-    range; callers testing a computed product (say C N_B, which can cancel
-    to roundoff dust whose self-relative residual is meaningless) pass the
-    factor magnitude as ``scale`` so that ||c|| <= rank_rel * scale also
-    counts as zero.
+    The decision is residual-based, ||N_{A*} c|| / ||c||; the rank
+    comparison of [a c] against a is computed only as corroborating data.
+    A zero c is included in any range; callers testing a computed product
+    (say C N_B, which can cancel to roundoff dust whose self-relative
+    residual is meaningless) pass the factor magnitude as ``scale`` so that
+    ||c|| <= rank_rel * scale also counts as zero.
     """
     c = as_matrix(c)
-    a = as_matrix(a)
-    if c.shape[0] != a.shape[0]:
+    if c.shape[0] != f.a.shape[0]:
         raise DimensionMismatch(
-            f"row counts differ: C is {c.shape}, A is {a.shape}"
+            f"row counts differ: C is {c.shape}, A is {f.a.shape}"
         )
-    rank_a = numerical_rank(a, tol)
     rank_data = {
-        "rank_a": rank_a,
-        "rank_a_aug": numerical_rank(np.hstack([a, c]), tol) if c.size else rank_a,
+        "rank_a": f.rank,
+        "rank_a_aug": numerical_rank(np.hstack([f.a, c]), tol) if c.size else f.rank,
     }
     norm_c = fro(c)
     if norm_c == 0.0 or (scale is not None and norm_c <= tol.rank_rel * scale):
         return RangeDecision(holds=True, residual=0.0, rank_data=rank_data)
-    p_a = projection_quad(a, tol).p_a
-    residual = fro(c - p_a @ c) / norm_c
+    residual = fro(f.n_astar(c)) / norm_c
     return RangeDecision(holds=residual <= tol.residual_rel, residual=residual, rank_data=rank_data)
+
+
+def range_inclusion(c, a, tol: ToleranceConfig = DEFAULT_TOL,
+                    scale: float | None = None) -> RangeDecision:
+    """Decide R(c) subset-of R(a); :func:`inclusion` on a fresh factorization of ``a``."""
+    return inclusion(c, factor(a, tol), tol, scale)
 
 
 def range_equal(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> RangeDecision:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, HypothesisViolated, NotASolution, NotSolvable
-from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger, fro, pinv, spectral_norm
-from .projections import RangeDecision, projection_quad, range_inclusion
+from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, as_matrix, dagger, factor, fro, spectral_norm
+from .projections import RangeDecision, inclusion
 from .rng import Xoshiro256StarStar, complex_normal_matrix
 
 __all__ = [
@@ -67,13 +67,16 @@ class SylvesterDiagnosis:
 
 def diagnose_ax_yb(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> SylvesterDiagnosis:
     a, b, c = _shapes(a, b, c)
-    quad_a = projection_quad(a, tol)
-    quad_b = projection_quad(b, tol)
-    n_b = quad_b.n_a
+    return _diagnose(factor(a, tol), factor(b, tol), c, tol)
+
+
+def _diagnose(fa: Factorization, fb: Factorization, c, tol) -> SylvesterDiagnosis:
+    c_nb = fb.right_n_a(c)
     norm_c = fro(c)
-    cond_cnb = range_inclusion(c @ n_b, a, tol, scale=norm_c)
-    cond_pbc = range_inclusion(quad_b.p_astar @ dagger(c), dagger(b), tol, scale=norm_c)
-    classical = fro(quad_a.n_astar @ c @ n_b)
+    fb_star = fb.adjoint()
+    cond_cnb = inclusion(c_nb, fa, tol, scale=norm_c)
+    cond_pbc = inclusion(fb_star.p_a(dagger(c)), fb_star, tol, scale=norm_c)
+    classical = fro(fa.n_astar(c_nb))
     classical_rel = classical / norm_c if norm_c else 0.0
     solvable = cond_cnb.holds and cond_pbc.holds
     return SylvesterDiagnosis(
@@ -94,7 +97,11 @@ def particular_ax_yb(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     diagnosis accepts the instance.
     """
     a, b, c = _shapes(a, b, c)
-    diag = diagnose_ax_yb(a, b, c, tol)
+    return _particular(factor(a, tol), factor(b, tol), c, tol)
+
+
+def _particular(fa: Factorization, fb: Factorization, c, tol):
+    diag = _diagnose(fa, fb, c, tol)
     if not diag.solvable:
         raise NotSolvable(
             "A X + Y B = C has no solution: "
@@ -102,10 +109,7 @@ def particular_ax_yb(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
             f"classical residual {diag.classical_residual:.3e}",
             diagnosis=diag,
         )
-    n_b = projection_quad(b, tol).n_a
-    x_p = pinv(a, tol) @ c @ n_b
-    y_p = c @ pinv(b, tol)
-    return x_p, y_p
+    return fa.pinv(fb.right_n_a(c)), fb.right_pinv(c)
 
 
 def homogeneous_ax_yb(a, b, w1, wprime, w4, tol: ToleranceConfig = DEFAULT_TOL):
@@ -115,19 +119,22 @@ def homogeneous_ax_yb(a, b, w1, wprime, w4, tol: ToleranceConfig = DEFAULT_TOL):
     satisfy A x_h + y_h B = 0 because the two cross terms are -A W' B and
     +A W' B.
     """
-    a, b = as_matrix(a), as_matrix(b)
-    m, p = a.shape
-    q, n = b.shape
+    return _homogeneous(factor(a, tol), factor(b, tol), w1, wprime, w4)
+
+
+def _homogeneous(fa: Factorization, fb: Factorization, w1, wprime, w4):
+    m, p = fa.a.shape
+    q, n = fb.a.shape
     w1, wprime, w4 = as_matrix(w1), as_matrix(wprime), as_matrix(w4)
     if w1.shape != (p, n) or wprime.shape != (p, q) or w4.shape != (m, q):
         raise DimensionMismatch(
             f"expected W1 {(p, n)}, W' {(p, q)}, W4 {(m, q)}; "
             f"got {w1.shape}, {wprime.shape}, {w4.shape}"
         )
-    quad_a = projection_quad(a, tol)
-    quad_b = projection_quad(b, tol)
-    x_h = quad_a.n_a @ w1 - quad_a.p_astar @ wprime @ b @ quad_b.p_astar
-    y_h = a @ wprime @ quad_b.p_a + w4 @ quad_b.n_astar
+    fa_star = fa.adjoint()
+    fb_star = fb.adjoint()
+    x_h = fa_star.n_astar(w1) - fa_star.p_a(fb.right_p_astar(wprime @ fb.a))
+    y_h = fb_star.right_p_astar(fa.a @ wprime) + fb_star.right_n_a(w4)
     return x_h, y_h
 
 
@@ -170,8 +177,9 @@ def solve_ax_yb(a, b, c, params=None, tol: ToleranceConfig = DEFAULT_TOL) -> Syl
             np.zeros((m, q), dtype=np.complex128),
         )
     w1, wprime, w4 = params
-    x_p, y_p = particular_ax_yb(a, b, c, tol)
-    x_h, y_h = homogeneous_ax_yb(a, b, w1, wprime, w4, tol)
+    fa, fb = factor(a, tol), factor(b, tol)
+    x_p, y_p = _particular(fa, fb, c, tol)
+    x_h, y_h = _homogeneous(fa, fb, w1, wprime, w4)
     x = x_p + x_h
     y = y_p + y_h
     norm_c = fro(c)
@@ -204,13 +212,12 @@ def completeness_witness(a, b, c, x0, y0, tol: ToleranceConfig = DEFAULT_TOL) ->
         raise NotASolution(
             f"(x0, y0) does not solve A X + Y B = C: residual {defect:.3e} vs scale {scale0:.3e}"
         )
-    x_p, y_p = particular_ax_yb(a, b, c, tol)
-    quad_a = projection_quad(a, tol)
-    quad_b = projection_quad(b, tol)
+    fa, fb = factor(a, tol), factor(b, tol)
+    x_p, y_p = _particular(fa, fb, c, tol)
     dx = x0 - x_p
     dy = y0 - y_p
-    x_wit = fro(quad_a.p_astar @ dx @ quad_b.n_a)
-    y_wit = fro(quad_a.n_astar @ dy @ quad_b.p_a)
+    x_wit = fro(fa.adjoint().p_a(fb.right_n_a(dx)))
+    y_wit = fro(fa.n_astar(fb.adjoint().right_p_astar(dy)))
     scale = max(fro(dx), fro(dy), 1e-300)
     return CompletenessReport(
         x_witness=x_wit,
@@ -240,14 +247,14 @@ def solve_ax_by_orthogonal(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
         raise HypothesisViolated(
             f"A* B != 0: defect {defect:.3e} exceeds bound {bound:.3e}"
         )
-    t = np.hstack([a, b])
-    inclusion = range_inclusion(c, t, tol)
-    if not inclusion.holds:
+    ft = factor(np.hstack([a, b]), tol)
+    decision = inclusion(c, ft, tol)
+    if not decision.holds:
         raise NotSolvable(
-            f"R(C) is not contained in R(A) + R(B): residual {inclusion.residual:.3e}",
-            diagnosis=inclusion,
+            f"R(C) is not contained in R(A) + R(B): residual {decision.residual:.3e}",
+            diagnosis=decision,
         )
-    d = pinv(t, tol) @ c
+    d = ft.pinv(c)
     x = d[:p]
     y = d[p:]
     lam = spectral_norm(d) ** 2

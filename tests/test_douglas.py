@@ -6,7 +6,10 @@ import pytest
 from opeq import (
     DimensionMismatch,
     HypothesisViolated,
+    OpeqError,
     RangeNotContained,
+    ToleranceAnomaly,
+    ToleranceConfig,
     douglas_factor,
     polar_range_check,
     projection_quad,
@@ -112,6 +115,15 @@ def test_solve_scaled_equality_rejects_wrong_lambda():
         solve_scaled_equality(a, 2.0 * a, 1.0)
     with pytest.raises(HypothesisViolated):
         solve_scaled_equality(a, a, -1.0)
+
+
+def test_solve_scaled_equality_anomaly_is_an_opeq_error():
+    # C C* = A A* passes the loose Frobenius check (defect 1e-6 against a
+    # bound of 1e-5) while R(C) = C^2 differs from R(A) = span(e1).
+    tol = ToleranceConfig(residual_rel=1e-5)
+    with pytest.raises(ToleranceAnomaly) as info:
+        solve_scaled_equality(np.diag([1.0, 0.0]), np.diag([1.0, 1e-3]), 1.0, tol)
+    assert isinstance(info.value, OpeqError)
 
 
 def test_polar_range_check_identity():

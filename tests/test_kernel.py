@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from opeq import EmptyMatrix, NotPSD, ToleranceConfig, as_matrix, pinv, psd_sqrt, svd
-from opeq.harness import ranked_matrix
-from opeq.rng import Xoshiro256StarStar
+from opeq import EmptyMatrix, NotPSD, ToleranceConfig, as_matrix, factor, pinv, psd_sqrt, svd
+from opeq.harness import random_unitary, ranked_matrix
+from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 
 def herm2x2_eig(m):
@@ -49,6 +49,50 @@ def test_svd_factors_random():
 def test_svd_empty_raises():
     with pytest.raises(EmptyMatrix):
         svd(np.zeros((0, 3)))
+
+
+def test_factorization_applies_the_closed_form_projections_and_pinv():
+    rng = Xoshiro256StarStar(41)
+    for m_dim, n_dim, r in [(5, 3, 2), (4, 6, 3), (6, 6, 6)]:
+        # oracle: a = U diag(sigma) V* with known factors, so P_A = U U*,
+        # P_{A*} = V V* and A+ = V diag(1/sigma) U*
+        u = random_unitary(rng, m_dim)[:, :r]
+        v = random_unitary(rng, n_dim)[:, :r]
+        sigma = np.linspace(1.0, 0.1, r)
+        a = (u * sigma) @ v.conj().T
+        p_a, p_astar, a_plus = u @ u.conj().T, v @ v.conj().T, (v / sigma) @ u.conj().T
+        left = complex_normal_matrix(rng, m_dim, 2)
+        right = complex_normal_matrix(rng, 2, n_dim)
+        f = factor(a)
+        assert f.rank == r and f.a.shape == (m_dim, n_dim)
+        assert f.norm == pytest.approx(1.0, rel=1e-12)
+        tol = dict(atol=1e-12)
+        np.testing.assert_allclose(f.p_a(left), p_a @ left, **tol)
+        np.testing.assert_allclose(f.n_astar(left), left - p_a @ left, **tol)
+        np.testing.assert_allclose(f.right_p_astar(right), right @ p_astar, **tol)
+        np.testing.assert_allclose(f.right_n_a(right), right - right @ p_astar, **tol)
+        np.testing.assert_allclose(f.pinv(left), a_plus @ left, **tol)
+        np.testing.assert_allclose(f.right_pinv(right), right @ a_plus, **tol)
+        g = f.adjoint()
+        np.testing.assert_allclose(g.a, a.conj().T)
+        np.testing.assert_allclose(g.p_a(right.conj().T), p_astar @ right.conj().T, **tol)
+        np.testing.assert_allclose(g.pinv(right.conj().T), a_plus.conj().T @ right.conj().T, **tol)
+
+
+def test_factor_zero_and_empty_have_rank_zero():
+    for shape in [(3, 2), (0, 3)]:
+        f = factor(np.zeros(shape))
+        assert f.rank == 0 and f.norm == 0.0
+        assert f.pinv(np.ones((shape[0], 1))).shape == (shape[1], 1)
+        assert not f.p_a(np.ones((shape[0], 1))).any()
+
+
+def test_factor_anchor_sets_the_cutoff_scale():
+    dust = 1e-14 * complex_normal_matrix(Xoshiro256StarStar(3), 4, 4)
+    assert factor(dust).rank == 4
+    anchored = factor(dust, anchor=1.0)
+    assert anchored.rank == 0
+    assert anchored.norm == factor(dust).norm > 0.0
 
 
 def penrose_defects(m, x):

@@ -13,10 +13,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from . import congruence, douglas, harness, sylvester
+from . import congruence, harness, sylvester
 from .exceptions import (
     EmptyIntersection,
     IntersectionNotInRangeC,
@@ -63,6 +64,8 @@ def truncated_shift_demo(n: int, tol: ToleranceConfig | None = None) -> dict:
     pseudoinverse norm is j, so both degrade linearly: the limit operator
     has non-closed range even though every truncation is perfectly tame.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     tol = tol or ToleranceConfig()
     rows = []
     for j in range(1, n + 1):
@@ -91,18 +94,27 @@ def _tol(args) -> ToleranceConfig:
     return ToleranceConfig(rank_rel=args.tol_rank, residual_rel=args.tol_residual)
 
 
-def _decision(dec: RangeDecision) -> dict:
-    return {"holds": dec.holds, "residual": dec.residual, "rank_data": dict(dec.rank_data)}
+def _diagnosis_fields(diagnosis) -> dict:
+    """Report fields of a diagnosis dataclass, or of one failing RangeDecision.
 
-
-def _certificate(cert: harness.Certificate) -> dict:
-    return {
-        "equation": cert.equation,
-        "residuals": dict(cert.residuals),
-        "decisions": {k: _decision(v) for k, v in cert.decisions.items()},
-        "passed": cert.passed,
-        "failures": list(cert.failures),
-    }
+    Boolean verdicts go at the top level, floats under ``residuals`` and
+    range decisions under ``decisions``; matrices and unset fields are
+    left out.
+    """
+    items = {"failing": diagnosis} if isinstance(diagnosis, RangeDecision) else vars(diagnosis)
+    report, residuals, decisions = {}, {}, {}
+    for name, value in items.items():
+        if isinstance(value, RangeDecision):
+            decisions[name] = asdict(value)
+        elif isinstance(value, bool):
+            report[name] = value
+        elif isinstance(value, float):
+            residuals[name] = value
+    if residuals:
+        report["residuals"] = residuals
+    if decisions:
+        report["decisions"] = decisions
+    return report
 
 
 def _render_text(obj, indent=0, key=None):
@@ -116,7 +128,7 @@ def _render_text(obj, indent=0, key=None):
             print(f"{pad}{key}:")
         for k, v in obj.items():
             _render_text(v, indent + (key is not None), k)
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         if obj and all(isinstance(v, dict) for v in obj):
             print(f"{pad}{key}:")
             for v in obj:
@@ -159,123 +171,37 @@ def _cmd_diagnose(args) -> int:
     c = load_matrix(args.C)
     if args.equation == "sylvester":
         diag = sylvester.diagnose_ax_yb(a, b, c, tol)
-        report = {
-            "command": "diagnose sylvester",
-            "solvable": diag.solvable,
-            "anomaly": diag.anomaly,
-            "residuals": {"classical_residual": diag.classical_residual},
-            "decisions": {
-                "cond_range_cnb": _decision(diag.cond_range_cnb),
-                "cond_range_pbc": _decision(diag.cond_range_pbc),
-            },
-        }
-        _emit(report, args.json)
-        return EXIT_OK if diag.solvable else EXIT_UNSOLVABLE
-    diag = congruence.diagnose_congruence(a, b, c, tol)
-    if diag.solvable:
-        status = "solvable"
-    elif diag.cond_cnbstar_in_a.holds and diag.cond_cstar_nastar_in_b.holds:
-        status = "inconclusive"
+        report = {"command": "diagnose sylvester"}
     else:
-        status = "unsolvable"
-    report = {
-        "command": "diagnose congruence",
-        "status": status,
-        "hypotheses_hold": diag.hypotheses_hold,
-        "solvable": diag.solvable,
-        "residuals": {"hyp_cstar_pa_in_nbstar": diag.hyp_cstar_pa_in_nbstar},
-        "decisions": {
-            "hyp_c_in_b": _decision(diag.hyp_c_in_b),
-            "hyp_cstar_in_a": _decision(diag.hyp_cstar_in_a),
-            "cond_cnbstar_in_a": _decision(diag.cond_cnbstar_in_a),
-            "cond_cstar_nastar_in_b": _decision(diag.cond_cstar_nastar_in_b),
-        },
-    }
+        diag = congruence.diagnose_congruence(a, b, c, tol)
+        if diag.solvable:
+            status = "solvable"
+        elif diag.cond_cnbstar_in_a.holds and diag.cond_cstar_nastar_in_b.holds:
+            status = "inconclusive"
+        else:
+            status = "unsolvable"
+        report = {"command": "diagnose congruence", "status": status}
+    report.update(_diagnosis_fields(diag))
     _emit(report, args.json)
     return EXIT_OK if diag.solvable else EXIT_UNSOLVABLE
 
 
 def _cmd_solve(args) -> int:
+    eq = harness.EQUATIONS[args.equation]
+    if args.B is None and "B" in eq.operands:
+        raise _UsageError("--B is required for this equation")
     tol = _tol(args)
-    eq = args.equation
-    if eq == "douglas":
-        a = load_matrix(args.A)
-        c = load_matrix(args.C)
-        rep = douglas.reduced_solution(a, c, tol)
-        cert = harness.verify("douglas", {"A": a, "C": c}, {"X": rep.d}, tol)
-        report = {
-            "command": "solve douglas",
-            "residuals": {
-                "residual": rep.residual,
-                "reduced_certificate": rep.reduced_certificate,
-            },
-            "lambda_factor": rep.lambda_factor,
-            "certificate": _certificate(cert),
-            "solution": {"X": matrix_to_obj(rep.d)},
-        }
-        report["files"] = _write_solutions(args.out, {"X": rep.d})
-        _emit(report, args.json)
-        return EXIT_OK if cert.passed else EXIT_UNSOLVABLE
-    a = load_matrix(args.A)
-    b = load_matrix(args.B)
-    c = load_matrix(args.C)
-    if eq == "sylvester":
-        params = sylvester.random_params(a, b, args.seed) if args.seed is not None else None
-        sol = sylvester.solve_ax_yb(a, b, c, params=params, tol=tol)
-        cert = harness.verify("sylvester", {"A": a, "B": b, "C": c}, {"X": sol.x, "Y": sol.y}, tol)
-        report = {
-            "command": "solve sylvester",
-            "residuals": {"residual": sol.residual},
-            "certificate": _certificate(cert),
-            "solution": {"X": matrix_to_obj(sol.x), "Y": matrix_to_obj(sol.y)},
-        }
-        report["files"] = _write_solutions(args.out, {"X": sol.x, "Y": sol.y})
-        _emit(report, args.json)
-        return EXIT_OK if cert.passed else EXIT_UNSOLVABLE
-    if eq == "orthogonal":
-        x, y, lam = sylvester.solve_ax_by_orthogonal(a, b, c, tol)
-        cert = harness.verify("orthogonal", {"A": a, "B": b, "C": c},
-                              {"X": x, "Y": y, "lam": lam}, tol)
-        report = {
-            "command": "solve orthogonal",
-            "lambda_factor": lam,
-            "certificate": _certificate(cert),
-            "solution": {"X": matrix_to_obj(x), "Y": matrix_to_obj(y)},
-        }
-        report["files"] = _write_solutions(args.out, {"X": x, "Y": y})
-        _emit(report, args.json)
-        return EXIT_OK if cert.passed else EXIT_UNSOLVABLE
-    if eq == "congruence":
-        x, y, diag = congruence.solve_congruence(a, b, c, tol)
-        cert = harness.verify("congruence", {"A": a, "B": b, "C": c}, {"X": x, "Y": y}, tol)
-        report = {
-            "command": "solve congruence",
-            "residuals": {
-                "residual": diag.residual,
-                "hyp_cstar_pa_in_nbstar": diag.hyp_cstar_pa_in_nbstar,
-            },
-            "certificate": _certificate(cert),
-            "solution": {"X": matrix_to_obj(x), "Y": matrix_to_obj(y)},
-        }
-        report["files"] = _write_solutions(args.out, {"X": x, "Y": y})
-        _emit(report, args.json)
-        return EXIT_OK if cert.passed else EXIT_UNSOLVABLE
-    x, y, z, rep = congruence.solve_congruence_cz(a, b, c, tol)
-    cert = harness.verify("congruence-cz", {"A": a, "B": b, "C": c},
-                          {"X": x, "Y": y, "Z": z}, tol)
+    ops = {name: load_matrix(getattr(args, name)) for name in eq.operands}
+    solution, fields = eq.solve(ops, tol, args.seed)
+    cert = harness.verify(args.equation, ops, solution, tol)
+    mats = {name: m for name, m in solution.items() if isinstance(m, np.ndarray)}
     report = {
-        "command": "solve congruence-cz",
-        "residuals": {
-            "residual": rep.residual,
-            "pn_s_residual": rep.intersection.pn_s_residual,
-        },
-        "norms": {"x": rep.x_norm, "y": rep.y_norm, "z": rep.z_norm},
-        "intersection_dim": rep.intersection.dim,
-        "decisions": {"basis_in_range_c": _decision(rep.basis_in_range_c)},
-        "certificate": _certificate(cert),
-        "solution": {"X": matrix_to_obj(x), "Y": matrix_to_obj(y), "Z": matrix_to_obj(z)},
+        "command": f"solve {args.equation}",
+        **fields,
+        "certificate": asdict(cert),
+        "solution": {name: matrix_to_obj(m) for name, m in mats.items()},
+        "files": _write_solutions(args.out, mats),
     }
-    report["files"] = _write_solutions(args.out, {"X": x, "Y": y, "Z": z})
     _emit(report, args.json)
     return EXIT_OK if cert.passed else EXIT_UNSOLVABLE
 
@@ -293,7 +219,7 @@ def _cmd_intersect(args) -> int:
             "ax_eq_bz": rep.ax_eq_bz_residual,
             "azstar_eq_by": rep.azstar_eq_by_residual,
         },
-        "decisions": {"sqrt_range_in_basis": _decision(rep.sqrt_range_in_basis)},
+        "decisions": {"sqrt_range_in_basis": asdict(rep.sqrt_range_in_basis)},
         "basis": matrix_to_obj(rep.basis),
     }
     report["files"] = _write_solutions(args.out, {
@@ -379,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_diagnose)
 
     p = sub.add_parser("solve", parents=[common], help="solve one equation and certify the answer")
-    p.add_argument("equation",
-                   choices=["douglas", "sylvester", "orthogonal", "congruence", "congruence-cz"])
+    p.add_argument("equation", choices=list(harness.EQUATIONS))
     p.add_argument("--A", required=True)
     p.add_argument("--B", default=None)
     p.add_argument("--C", required=True)
@@ -411,41 +336,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    if args.command == "solve" and args.equation != "douglas" and args.B is None:
-        print("error: --B is required for this equation", file=sys.stderr)
-        return EXIT_ERROR
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (NotSolvable, RangeNotContained, EmptyIntersection, IntersectionNotInRangeC) as exc:
         report = {"command": args.command, "status": "unsolvable",
                   "error": type(exc).__name__, "message": str(exc)}
-        decision = getattr(exc, "decision", None) or getattr(exc, "diagnosis", None)
-        if isinstance(decision, RangeDecision):
-            report["decisions"] = {"failing": _decision(decision)}
-        elif isinstance(decision, sylvester.SylvesterDiagnosis):
-            report["decisions"] = {
-                "cond_range_cnb": _decision(decision.cond_range_cnb),
-                "cond_range_pbc": _decision(decision.cond_range_pbc),
-            }
-            report["residuals"] = {"classical_residual": decision.classical_residual}
-        elif isinstance(decision, congruence.CongruenceDiagnosis):
-            report["decisions"] = {
-                "cond_cnbstar_in_a": _decision(decision.cond_cnbstar_in_a),
-                "cond_cstar_nastar_in_b": _decision(decision.cond_cstar_nastar_in_b),
-            }
+        detail = getattr(exc, "decision", None) or getattr(exc, "diagnosis", None)
+        if detail is not None:
+            report.update(_diagnosis_fields(detail))
         _emit(report, args.json)
         return EXIT_UNSOLVABLE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (OpeqError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

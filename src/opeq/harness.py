@@ -8,11 +8,12 @@ xoshiro256** stream (see :mod:`opeq.rng`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import congruence, sylvester
+from . import congruence, douglas, sylvester
 from .douglas import majorization_gap
 from .exceptions import InfeasibleSpec, ToleranceAnomaly, UnknownEquationTag
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger, factor, fro, spectral_norm
@@ -23,21 +24,13 @@ __all__ = [
     "FAMILIES",
     "InstanceSpec",
     "Certificate",
+    "Equation",
+    "EQUATIONS",
     "generate",
     "verify",
     "random_unitary",
     "ranked_matrix",
 ]
-
-FAMILIES = (
-    "sylvester-solvable",
-    "sylvester-unsolvable",
-    "orthogonal-pair",
-    "congruence-solvable",
-    "congruence-criterion-violating",
-    "equal-range-pair",
-    "scaled-equality-pair",
-)
 
 SIGMA_MIN = 1e-2
 SIGMA_MAX = 1.0
@@ -107,17 +100,12 @@ def generate(spec: InstanceSpec) -> dict:
     """Generate the named operator set for ``spec``; deterministic in the seed."""
     if spec.family not in FAMILIES:
         raise InfeasibleSpec(f"unknown family {spec.family!r}; known: {', '.join(FAMILIES)}")
-    rng = Xoshiro256StarStar(spec.seed)
-    build = {
-        "sylvester-solvable": _gen_sylvester,
-        "sylvester-unsolvable": _gen_sylvester,
-        "orthogonal-pair": _gen_orthogonal,
-        "congruence-solvable": _gen_congruence,
-        "congruence-criterion-violating": _gen_congruence,
-        "equal-range-pair": _gen_equal_range,
-        "scaled-equality-pair": _gen_scaled_equality,
-    }[spec.family]
-    return build(spec, rng)
+    build, rank_names = _BUILDERS[spec.family]
+    unread = sorted(set(spec.ranks) - set(rank_names))
+    if unread:
+        raise InfeasibleSpec(f"family {spec.family} has no rank target {', '.join(unread)}; "
+                             f"known: {', '.join(rank_names)}")
+    return build(spec, Xoshiro256StarStar(spec.seed))
 
 
 def _gen_sylvester(spec: InstanceSpec, rng) -> dict:
@@ -237,6 +225,19 @@ def _gen_congruence(spec: InstanceSpec, rng) -> dict:
     return {"A": a, "B": b, "C": c}
 
 
+# Each family's builder and the rank targets it reads.
+_BUILDERS = {
+    "sylvester-solvable": (_gen_sylvester, ("A", "B", "X0", "Y0")),
+    "sylvester-unsolvable": (_gen_sylvester, ("A", "B", "X0", "Y0")),
+    "orthogonal-pair": (_gen_orthogonal, ("A", "B")),
+    "congruence-solvable": (_gen_congruence, ("A", "B")),
+    "congruence-criterion-violating": (_gen_congruence, ("A", "B")),
+    "equal-range-pair": (_gen_equal_range, ("A",)),
+    "scaled-equality-pair": (_gen_scaled_equality, ("A",)),
+}
+FAMILIES = tuple(_BUILDERS)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Recomputed residuals and range decisions for one equation instance."""
@@ -256,22 +257,15 @@ def verify(equation: str, operators: dict, solution: dict,
            tol: ToleranceConfig = DEFAULT_TOL) -> Certificate:
     """Recompute the defining residual and side conditions for a solution.
 
-    Known tags: ``douglas`` (A X = C, X reduced), ``sylvester``
-    (A X + Y B = C), ``orthogonal`` (A X + B Y = C under A* B = 0),
-    ``congruence`` (A X A* + B Y B* = C) and ``congruence-cz``
-    (A X A* + B Y B* = C Z with X, Y PSD and all three nonzero).
+    Known tags, the keys of :data:`EQUATIONS`: ``douglas`` (A X = C, X
+    reduced), ``sylvester`` (A X + Y B = C), ``orthogonal`` (A X + B Y = C
+    under A* B = 0), ``congruence`` (A X A* + B Y B* = C) and
+    ``congruence-cz`` (A X A* + B Y B* = C Z with X, Y PSD, all nonzero).
     """
     tag = equation.strip().lower()
-    handlers = {
-        "douglas": _verify_douglas,
-        "sylvester": _verify_sylvester,
-        "orthogonal": _verify_orthogonal,
-        "congruence": _verify_congruence,
-        "congruence-cz": _verify_congruence_cz,
-    }
-    if tag not in handlers:
-        raise UnknownEquationTag(f"unknown equation tag {equation!r}; known: {', '.join(handlers)}")
-    residuals, decisions, failures = handlers[tag](operators, solution, tol)
+    if tag not in EQUATIONS:
+        raise UnknownEquationTag(f"unknown equation tag {equation!r}; known: {', '.join(EQUATIONS)}")
+    residuals, decisions, failures = EQUATIONS[tag].verify(operators, solution, tol)
     return Certificate(equation=tag, residuals=residuals, decisions=decisions,
                        passed=not failures, failures=tuple(failures))
 
@@ -385,3 +379,66 @@ def _verify_congruence_cz(ops, sol, tol):
         if norm <= 1e-10:
             failures.append(f"{name}_nonzero")
     return residuals, {}, failures
+
+
+# Solve adapters: (operators, tol, seed) -> (solution for verify, report fields).
+# Each calls its solver through the module at call time, so a wrapper
+# installed on the module attribute (as the benchmark's tracer does) sees it.
+
+def _solve_douglas(ops, tol, seed):
+    rep = douglas.reduced_solution(ops["A"], ops["C"], tol)
+    return {"X": rep.d}, {
+        "residuals": {"residual": rep.residual, "reduced_certificate": rep.reduced_certificate},
+        "lambda_factor": rep.lambda_factor,
+    }
+
+
+def _solve_sylvester(ops, tol, seed):
+    a, b, c = ops["A"], ops["B"], ops["C"]
+    params = sylvester.random_params(a, b, seed) if seed is not None else None
+    sol = sylvester.solve_ax_yb(a, b, c, params=params, tol=tol)
+    return {"X": sol.x, "Y": sol.y}, {"residuals": {"residual": sol.residual}}
+
+
+def _solve_orthogonal(ops, tol, seed):
+    x, y, lam = sylvester.solve_ax_by_orthogonal(ops["A"], ops["B"], ops["C"], tol)
+    return {"X": x, "Y": y, "lam": lam}, {"lambda_factor": lam}
+
+
+def _solve_congruence(ops, tol, seed):
+    x, y, diag = congruence.solve_congruence(ops["A"], ops["B"], ops["C"], tol)
+    return {"X": x, "Y": y}, {"residuals": {
+        "residual": diag.residual, "hyp_cstar_pa_in_nbstar": diag.hyp_cstar_pa_in_nbstar}}
+
+
+def _solve_congruence_cz(ops, tol, seed):
+    x, y, z, rep = congruence.solve_congruence_cz(ops["A"], ops["B"], ops["C"], tol)
+    return {"X": x, "Y": y, "Z": z}, {
+        "residuals": {"residual": rep.residual, "pn_s_residual": rep.intersection.pn_s_residual},
+        "norms": {"x": rep.x_norm, "y": rep.y_norm, "z": rep.z_norm},
+        "intersection_dim": rep.intersection.dim,
+        "decisions": {"basis_in_range_c": asdict(rep.basis_in_range_c)},
+    }
+
+
+@dataclass(frozen=True)
+class Equation:
+    """One equation: its operand names, solve adapter and :func:`verify` handler.
+
+    ``solve(operators, tol, seed)`` returns the solution dict that
+    :func:`verify` reads (its matrices are the solution files) and the
+    solver's report fields; ``seed``, where used, draws the free parameters.
+    """
+
+    operands: tuple
+    solve: Callable
+    verify: Callable
+
+
+EQUATIONS = {
+    "douglas": Equation(("A", "C"), _solve_douglas, _verify_douglas),
+    "sylvester": Equation(("A", "B", "C"), _solve_sylvester, _verify_sylvester),
+    "orthogonal": Equation(("A", "B", "C"), _solve_orthogonal, _verify_orthogonal),
+    "congruence": Equation(("A", "B", "C"), _solve_congruence, _verify_congruence),
+    "congruence-cz": Equation(("A", "B", "C"), _solve_congruence_cz, _verify_congruence_cz),
+}

@@ -75,8 +75,9 @@ def fro(m) -> float:
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value; 0.0 for empty or all-zero input."""
-    return factor(m).norm
+    """Largest singular value; 0.0 for empty or all-zero input, without a LAPACK call."""
+    m = as_matrix(m)
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.any() else 0.0
 
 
 def rank_cutoff(norm: float, shape, tol: ToleranceConfig = DEFAULT_TOL) -> float:

@@ -28,7 +28,8 @@ def matrix_to_obj(m, block_k: int | None = None) -> dict:
     obj = {"rows": int(m.shape[0]), "cols": int(m.shape[1])}
     if block_k is not None:
         obj["block_k"] = int(block_k)
-    obj["data"] = [[float(v.real), float(v.imag)] for v in m.reshape(-1)]
+    # tolist() yields Python floats, which json writes with the shortest repr.
+    obj["data"] = np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist()
     return obj
 
 
@@ -53,25 +54,25 @@ def obj_to_matrix(obj, where: str = "<memory>"):
             raise ParseError(f"{where}: field 'block_k' must be a positive integer")
         if rows % block_k or cols % block_k:
             raise ShapeError(f"{where}: block_k={block_k} does not divide {rows}x{cols}")
-    out = np.empty(rows * cols, dtype=np.complex128)
-    for i, pair in enumerate(data):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(f"{where}: data[{i}] must be a [re, im] pair")
-        try:
-            out[i] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: data[{i}] has a non-numeric entry: {exc}") from exc
-    if rows * cols and not np.isfinite(out).all():
+    try:
+        pairs = np.asarray(data, dtype=np.float64) if data else np.empty((0, 2))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: data has a ragged or non-numeric entry: {exc}") from exc
+    if pairs.shape != (rows * cols, 2):
+        raise ParseError(f"{where}: data entries must be [re, im] pairs")
+    # null converts to NaN, so this check rejects it too.
+    if not np.isfinite(pairs).all():
         raise ParseError(f"{where}: non-finite entry in data")
-    return out.reshape(rows, cols), block_k
+    # A C-ordered (n, 2) float64 array is n complex128 values in memory.
+    return pairs.view(np.complex128).reshape(rows, cols), block_k
 
 
 def save_matrix(path, m, block_k: int | None = None) -> None:
     obj = matrix_to_obj(m, block_k)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, separators=(",", ":"))
-        fh.write("\n")
+        # json.dumps runs the C encoder; json.dump streams through the Python one.
+        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
     os.replace(tmp, path)
 
 

@@ -1,12 +1,14 @@
 """Tests of the matrix file format and the command line interface."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from opeq import ParseError, ShapeError, load_matrix, load_matrix_meta, save_matrix
-from opeq.cli import make_truncated_shift, run_command, truncated_shift_demo
+from opeq import (ParseError, ShapeError, ToleranceConfig, harness, load_matrix, load_matrix_meta,
+                  save_matrix)
+from opeq.cli import build_parser, make_truncated_shift, run_command, truncated_shift_demo
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 
@@ -63,6 +65,11 @@ def test_parse_errors(tmp_path):
     path = write(tmp_path / "rows.json", {"cols": 1, "data": [[1.0, 0.0]]})
     with pytest.raises(ParseError):
         load_matrix(path)
+    for name, pair in (("string", ["x", 0.0]), ("null", [None, 0.0]),
+                       ("triple", [1.0, 0.0, 0.0])):
+        path = write(tmp_path / f"{name}.json", {"rows": 1, "cols": 1, "data": [pair]})
+        with pytest.raises(ParseError, match=f"{name}.json"):
+            load_matrix(path)
 
 
 def save_instance(tmp_path, **mats):
@@ -235,6 +242,10 @@ def test_gen_ranks_flag(tmp_path, capsys):
                         "--ranks", "A=notanint", "--out", str(tmp_path)]) == 1
     assert run_command(["gen", "--family", "sylvester-solvable", "--seed", "5",
                         "--ranks", "A=99", "--out", str(tmp_path)]) == 1
+    assert run_command(["gen", "--family", "sylvester-solvable", "--seed", "5",
+                        "--ranks", "a=2,Q=1", "--out", str(tmp_path)]) == 1
+    assert run_command(["gen", "--family", "orthogonal-pair", "--seed", "5",
+                        "--ranks", "X0=2", "--out", str(tmp_path)]) == 1
 
 
 def test_truncated_shift_matrix():
@@ -256,3 +267,63 @@ def test_demo_command_text_output(capsys):
     assert run_command(["demo", "truncated-shift", "--n", "2"]) == 0
     out = capsys.readouterr().out
     assert "min_nonzero_singular_value" in out
+
+
+def test_demo_rejects_n_below_one(capsys):
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            truncated_shift_demo(n)
+        assert run_command(["demo", "truncated-shift", "--n", str(n)]) == 1
+        assert capsys.readouterr().err.startswith("error: ValueError:")
+
+
+def gen_instance(tmp_path, family):
+    out = tmp_path / family
+    assert run_command(["gen", "--family", family, "--seed", "0", "--out", str(out), "--json"]) == 0
+    return [arg for name in "ABC" for arg in (f"--{name}", str(out / f"{name}.json"))]
+
+
+def test_solve_congruence_unsolvable_reports_diagnosis(tmp_path, capsys):
+    files = gen_instance(tmp_path, "congruence-criterion-violating")
+    capsys.readouterr()
+    code = run_command(["solve", "congruence", *files, "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["status"] == "unsolvable"
+    assert {"cond_cnbstar_in_a", "cond_cstar_nastar_in_b"} <= set(report["decisions"])
+    assert not report["decisions"]["cond_cnbstar_in_a"]["holds"]
+    assert report["hypotheses_hold"] and report["decisions"]["hyp_c_in_b"]["holds"]
+
+
+def test_solve_sylvester_seed_draws_a_homogeneous_part(tmp_path, capsys):
+    files = gen_instance(tmp_path, "sylvester-solvable")
+    capsys.readouterr()
+    xs = []
+    for seed in ([], ["--seed", "7"]):
+        out = tmp_path / f"sol{len(seed)}"
+        code = run_command(["solve", "sylvester", *files, *seed, "--json", "--out", str(out)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["certificate"]["passed"]
+        xs.append(load_matrix(out / "X.json"))
+    assert np.linalg.norm(xs[0] - xs[1]) > 1e-6
+
+
+# equation tag -> generated family with a solvable instance of it.
+SOLVABLE_FAMILY = {
+    "douglas": "scaled-equality-pair",
+    "sylvester": "sylvester-solvable",
+    "orthogonal": "orthogonal-pair",
+    "congruence": "congruence-solvable",
+    "congruence-cz": "equal-range-pair",
+}
+
+
+def test_solve_choices_are_the_equation_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    equation = next(a for a in sub.choices["solve"]._actions if a.dest == "equation")
+    assert set(equation.choices) == set(harness.EQUATIONS) == set(SOLVABLE_FAMILY)
+    for tag in equation.choices:
+        ops = harness.generate(harness.InstanceSpec(seed=2, family=SOLVABLE_FAMILY[tag]))
+        ops.setdefault("C", ops["A"])  # equal-range-pair: R(A) ^ R(B) = R(A) = R(C)
+        solution, _ = harness.EQUATIONS[tag].solve(ops, ToleranceConfig(), None)
+        assert harness.verify(tag, ops, solution).passed

@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSOLVABLE = 2
 
+# Largest --n of the truncated-shift demo, whose work grows as n^4.
+DEMO_MAX_N = 200
+
 
 class _UsageError(Exception):
     pass
@@ -64,8 +67,8 @@ def truncated_shift_demo(n: int, tol: ToleranceConfig | None = None) -> dict:
     pseudoinverse norm is j, so both degrade linearly: the limit operator
     has non-closed range even though every truncation is perfectly tame.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= DEMO_MAX_N:
+        raise ValueError(f"n must lie in [1, {DEMO_MAX_N}], got {n}")
     tol = tol or ToleranceConfig()
     rows = []
     for j in range(1, n + 1):
@@ -237,8 +240,11 @@ def _parse_ranks(text):
         name, _, value = item.partition("=")
         if not value:
             raise _UsageError(f"--ranks entries look like NAME=INT, got {item!r}")
+        name = name.strip()
+        if name in ranks:
+            raise _UsageError(f"--ranks names {name!r} more than once")
         try:
-            ranks[name.strip()] = int(value)
+            ranks[name] = int(value)
         except ValueError:
             raise _UsageError(f"--ranks value for {name!r} is not an integer: {value!r}")
     return ranks

@@ -8,7 +8,7 @@ block row [A -B], whose ranges parameterize R(A) intersect R(B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -247,7 +247,8 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"A and B must share rows: {a.shape} vs {b.shape}")
     p, q = a.shape[1], b.shape[1]
-    proj = factor(np.hstack([a, -b]), tol).right_n_a(np.eye(p + q, dtype=np.complex128))
+    ft = factor(np.hstack([a, -b]), tol)
+    proj = ft.right_n_a(np.eye(p + q, dtype=np.complex128))
     proj = (proj + proj.conj().T) / 2.0
     x_block = proj[:p, :p]
     zstar = proj[:p, p:]
@@ -260,7 +261,9 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
     # not be promoted to rank one by a self-relative threshold.
     basis = factor(np.hstack([a @ x_block, a @ zstar]), tol, anchor=fa.norm).u
 
-    fs = factor(np.hstack([a, b]), tol)
+    # S = [A B] = T diag(I, -I): the same spectrum, with the B rows of v negated.
+    sign = np.concatenate([np.ones(p), -np.ones(q)])
+    fs = replace(ft, a=np.hstack([a, b]), v=sign[:, None] * ft.v)
     pn_s_residual = fro(fs.adjoint().p_a(fs.right_n_a(proj)))
 
     scale = max(fro(a) + fro(b), 1e-300)

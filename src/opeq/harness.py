@@ -249,10 +249,6 @@ class Certificate:
     failures: tuple = ()
 
 
-def _rel(defect: float, scale: float) -> float:
-    return defect / scale if scale > 0.0 else (0.0 if defect == 0.0 else np.inf)
-
-
 def verify(equation: str, operators: dict, solution: dict,
            tol: ToleranceConfig = DEFAULT_TOL) -> Certificate:
     """Recompute the defining residual and side conditions for a solution.
@@ -291,8 +287,8 @@ def _verify_douglas(ops, sol, tol):
     fa = factor(a, tol)
     lam = spectral_norm(x) ** 2
     residuals = {
-        "equation": _rel(fro(a @ x - c), max(fro(c), 1e-300)),
-        "reducedness": _rel(fro(fa.adjoint().n_astar(x)), max(fro(x), 1e-300)),
+        "equation": fro(a @ x - c) / max(fro(c), 1e-300),
+        "reducedness": fro(fa.adjoint().n_astar(x)) / max(fro(x), 1e-300),
         "lambda": lam,
         "majorization_gap": majorization_gap(lam, a @ dagger(a), c, fa.norm ** 2),
     }
@@ -309,8 +305,8 @@ def _verify_sylvester(ops, sol, tol):
     x, y = _get(sol, "X", "Y")
     diag = sylvester.diagnose_ax_yb(a, b, c, tol)
     residuals = {
-        "equation": _rel(fro(a @ x + y @ b - c), max(fro(c), 1e-300)),
-        "classical": _rel(diag.classical_residual, max(fro(c), 1e-300)),
+        "equation": fro(a @ x + y @ b - c) / max(fro(c), 1e-300),
+        "classical": diag.classical_residual / max(fro(c), 1e-300),
     }
     decisions = {"cond_range_cnb": diag.cond_range_cnb, "cond_range_pbc": diag.cond_range_pbc}
     return residuals, decisions, _failures(
@@ -324,8 +320,8 @@ def _verify_orthogonal(ops, sol, tol):
     # ||A A* + B B*||_2 = ||[A B]||_2^2
     fab = factor(np.hstack([a, b]), tol)
     residuals = {
-        "equation": _rel(fro(a @ x + b @ y - c), max(fro(c), 1e-300)),
-        "orthogonality": _rel(fro(dagger(a) @ b), max(spectral_norm(a) * spectral_norm(b), 1e-300)),
+        "equation": fro(a @ x + b @ y - c) / max(fro(c), 1e-300),
+        "orthogonality": fro(dagger(a) @ b) / max(spectral_norm(a) * spectral_norm(b), 1e-300),
         "lambda": lam,
         "majorization_gap": majorization_gap(lam, a @ dagger(a) + b @ dagger(b), c, fab.norm ** 2),
     }
@@ -343,9 +339,8 @@ def _verify_congruence(ops, sol, tol):
     fb = factor(b, tol)
     diag = congruence._diagnose(factor(a, tol), fb, c, tol)
     residuals = {
-        "equation": _rel(fro(a @ x @ dagger(a) + b @ y @ dagger(b) - c), max(fro(c), 1e-300)),
-        "hyp_cstar_pa_in_nbstar": _rel(diag.hyp_cstar_pa_in_nbstar,
-                                       max(fb.norm * fro(c), 1e-300)),
+        "equation": fro(a @ x @ dagger(a) + b @ y @ dagger(b) - c) / max(fro(c), 1e-300),
+        "hyp_cstar_pa_in_nbstar": diag.hyp_cstar_pa_in_nbstar / max(fb.norm * fro(c), 1e-300),
     }
     decisions = {
         "hyp_c_in_b": diag.hyp_c_in_b,
@@ -362,15 +357,15 @@ def _verify_congruence_cz(ops, sol, tol):
     x, y, z = _get(sol, "X", "Y", "Z")
     lhs = a @ x @ dagger(a) + b @ y @ dagger(b)
     scale = max(fro(lhs), fro(c @ z), 1e-300)
-    residuals = {"equation": _rel(fro(lhs - c @ z), scale)}
+    residuals = {"equation": fro(lhs - c @ z) / scale}
     failures = []
     if residuals["equation"] > tol.residual_rel:
         failures.append("equation")
     norms = {name: spectral_norm(block) for name, block in (("x", x), ("y", y), ("z", z))}
     for name, block in (("x", x), ("y", y)):
-        herm = _rel(fro(block - dagger(block)), max(fro(block), 1e-300))
+        herm = fro(block - dagger(block)) / max(fro(block), 1e-300)
         mineig = float(np.linalg.eigvalsh((block + dagger(block)) / 2.0)[0])
-        residuals[f"{name}_psd_gap"] = _rel(min(mineig, 0.0), max(norms[name], 1e-300))
+        residuals[f"{name}_psd_gap"] = min(mineig, 0.0) / max(norms[name], 1e-300)
         residuals[f"{name}_hermitian_defect"] = herm
         if herm > 1e-10 or residuals[f"{name}_psd_gap"] < -1e-10:
             failures.append(f"{name}_psd")

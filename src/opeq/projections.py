@@ -54,7 +54,7 @@ class RangeDecision:
     """Certificate for a claim of the form R(C) subset-of R(A).
 
     ``residual`` is the relative Frobenius norm of the part of C outside
-    the claimed range; ``rank_data`` carries the corroborating ranks.
+    the claimed range; ``rank_data`` holds the tested operators' ranks.
     """
 
     holds: bool
@@ -66,8 +66,8 @@ def inclusion(c, f: Factorization, tol: ToleranceConfig = DEFAULT_TOL,
               scale: float | None = None) -> RangeDecision:
     """Decide R(c) subset-of R(a) for an operator ``a`` already factored as ``f``.
 
-    The decision is residual-based, ||N_{A*} c|| / ||c||; the rank
-    comparison of [a c] against a is computed only as corroborating data.
+    The decision is residual-based, ||N_{A*} c|| / ||c||, and applies
+    N_{A*} through ``f``, so it runs no factorization of its own.
     A zero c is included in any range; callers testing a computed product
     (say C N_B, which can cancel to roundoff dust whose self-relative
     residual is meaningless) pass the factor magnitude as ``scale`` so that
@@ -78,10 +78,7 @@ def inclusion(c, f: Factorization, tol: ToleranceConfig = DEFAULT_TOL,
         raise DimensionMismatch(
             f"row counts differ: C is {c.shape}, A is {f.a.shape}"
         )
-    rank_data = {
-        "rank_a": f.rank,
-        "rank_a_aug": numerical_rank(np.hstack([f.a, c]), tol) if c.size else f.rank,
-    }
+    rank_data = {"rank_a": f.rank}
     norm_c = fro(c)
     if norm_c == 0.0 or (scale is not None and norm_c <= tol.rank_rel * scale):
         return RangeDecision(holds=True, residual=0.0, rank_data=rank_data)
@@ -99,11 +96,7 @@ def range_equal(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> RangeDecision:
     """Decide R(a) = R(b) by inclusion both ways."""
     fwd = range_inclusion(b, a, tol)
     bwd = range_inclusion(a, b, tol)
-    rank_data = {
-        "rank_a": fwd.rank_data["rank_a"],
-        "rank_b": bwd.rank_data["rank_a"],
-        "rank_a_aug_b": fwd.rank_data["rank_a_aug"],
-    }
+    rank_data = {"rank_a": fwd.rank_data["rank_a"], "rank_b": bwd.rank_data["rank_a"]}
     return RangeDecision(
         holds=fwd.holds and bwd.holds,
         residual=max(fwd.residual, bwd.residual),

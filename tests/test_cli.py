@@ -8,7 +8,8 @@ import pytest
 
 from opeq import (ParseError, ShapeError, ToleranceConfig, harness, load_matrix, load_matrix_meta,
                   save_matrix)
-from opeq.cli import build_parser, make_truncated_shift, run_command, truncated_shift_demo
+from opeq.cli import (DEMO_MAX_N, build_parser, make_truncated_shift, run_command,
+                      truncated_shift_demo)
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 
@@ -244,6 +245,8 @@ def test_gen_ranks_flag(tmp_path, capsys):
                         "--ranks", "A=99", "--out", str(tmp_path)]) == 1
     assert run_command(["gen", "--family", "sylvester-solvable", "--seed", "5",
                         "--ranks", "a=2,Q=1", "--out", str(tmp_path)]) == 1
+    assert run_command(["gen", "--family", "sylvester-solvable", "--seed", "5",
+                        "--ranks", "A=3,A=2", "--out", str(tmp_path)]) == 1
     assert run_command(["gen", "--family", "orthogonal-pair", "--seed", "5",
                         "--ranks", "X0=2", "--out", str(tmp_path)]) == 1
 
@@ -270,7 +273,7 @@ def test_demo_command_text_output(capsys):
 
 
 def test_demo_rejects_n_below_one(capsys):
-    for n in (0, -1):
+    for n in (0, -1, DEMO_MAX_N + 1):
         with pytest.raises(ValueError):
             truncated_shift_demo(n)
         assert run_command(["demo", "truncated-shift", "--n", str(n)]) == 1

@@ -9,8 +9,8 @@ the module-level name that ``np.linalg.norm(x, 2)`` calls are counted.
 import numpy as np
 import pytest
 
-from opeq import congruence, douglas, sylvester
-from opeq.harness import InstanceSpec, generate, verify
+from opeq import DEFAULT_TOL
+from opeq.harness import EQUATIONS, InstanceSpec, generate, verify
 
 try:
     from numpy.linalg import _linalg as linalg_impl  # numpy >= 2
@@ -41,16 +41,15 @@ def svd_count(monkeypatch):
 
 
 # equation tag -> (generated family, SVD bound of the solver, SVD bound of verify).
-# The sylvester, congruence and douglas solver bounds and the sylvester
-# verify bound are what factoring each operand once allows (a helper that
-# factors an operand again breaks them); the others only keep the counts
-# from growing.
+# Each bound is the count when every operand is factored once and
+# every range decision is applied through a factorization the caller
+# already holds, so a helper that factors an operand again breaks it.
 BOUNDS = {
-    "sylvester": ("sylvester-solvable", 4, 4),
-    "orthogonal": ("orthogonal-pair", 7, 7),
-    "congruence": ("congruence-solvable", 6, 16),
-    "douglas": ("scaled-equality-pair", 3, 6),
-    "congruence-cz": ("equal-range-pair", 18, 5),
+    "sylvester": ("sylvester-solvable", 2, 2),
+    "orthogonal": ("orthogonal-pair", 4, 4),
+    "congruence": ("congruence-solvable", 2, 2),
+    "douglas": ("scaled-equality-pair", 2, 2),
+    "congruence-cz": ("equal-range-pair", 9, 3),
 }
 
 
@@ -63,21 +62,8 @@ def instance(family):
 
 
 def solve(eq, ops):
-    """Solve with the entry point for ``eq``; returns what verify takes."""
-    a, b, c = ops["A"], ops.get("B"), ops["C"]
-    if eq == "douglas":
-        return {"X": douglas.reduced_solution(a, c).d}
-    if eq == "sylvester":
-        sol = sylvester.solve_ax_yb(a, b, c)
-        return {"X": sol.x, "Y": sol.y}
-    if eq == "orthogonal":
-        x, y, lam = sylvester.solve_ax_by_orthogonal(a, b, c)
-        return {"X": x, "Y": y, "lam": lam}
-    if eq == "congruence":
-        x, y, _ = congruence.solve_congruence(a, b, c)
-        return {"X": x, "Y": y}
-    x, y, z, _ = congruence.solve_congruence_cz(a, b, c)
-    return {"X": x, "Y": y, "Z": z}
+    """Solve through the equation table; returns what verify takes."""
+    return EQUATIONS[eq].solve(ops, DEFAULT_TOL, None)[0]
 
 
 def test_counting_sees_the_spectral_norm(svd_count):

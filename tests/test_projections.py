@@ -95,9 +95,9 @@ def test_range_inclusion_zero_matrix_always_included():
 
 def test_range_inclusion_rank_data_corroborates():
     dec = range_inclusion(np.diag([0.3, 0.0]), np.diag([1.0, 0.0]))
-    assert dec.rank_data["rank_a"] == dec.rank_data["rank_a_aug"] == 1
+    assert dec.holds and dec.rank_data == {"rank_a": 1}
     dec = range_inclusion(np.array([[0.0, 0.0], [1.0, 0.0]]), np.diag([1.0, 0.0]))
-    assert dec.rank_data["rank_a_aug"] > dec.rank_data["rank_a"]
+    assert not dec.holds and dec.rank_data == {"rank_a": 1}
 
 
 def test_range_inclusion_dimension_mismatch():

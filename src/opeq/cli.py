@@ -25,7 +25,7 @@ from .exceptions import (
     OpeqError,
     RangeNotContained,
 )
-from .kernel import ToleranceConfig, factor
+from .kernel import DEFAULT_TOL, ToleranceConfig, factor
 from .matrixio import load_matrix, matrix_to_obj, save_matrix
 from .projections import RangeDecision
 
@@ -60,7 +60,7 @@ def make_truncated_shift(n: int) -> np.ndarray:
     return t
 
 
-def truncated_shift_demo(n: int, tol: ToleranceConfig | None = None) -> dict:
+def truncated_shift_demo(n: int, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     """Numerical closed-range failure study of the truncated weighted shift.
 
     The min nonzero singular value of the size-j truncation is 1/j and the
@@ -69,7 +69,6 @@ def truncated_shift_demo(n: int, tol: ToleranceConfig | None = None) -> dict:
     """
     if not 1 <= n <= DEMO_MAX_N:
         raise ValueError(f"n must lie in [1, {DEMO_MAX_N}], got {n}")
-    tol = tol or ToleranceConfig()
     rows = []
     for j in range(1, n + 1):
         f = factor(make_truncated_shift(j), tol)
@@ -197,7 +196,7 @@ def _cmd_solve(args) -> int:
     ops = {name: load_matrix(getattr(args, name)) for name in eq.operands}
     solution, fields = eq.solve(ops, tol, args.seed)
     cert = harness.verify(args.equation, ops, solution, tol)
-    mats = {name: m for name, m in solution.items() if isinstance(m, np.ndarray)}
+    mats = {name: solution[name] for name in eq.unknowns}
     report = {
         "command": f"solve {args.equation}",
         **fields,
@@ -291,9 +290,9 @@ def _cmd_demo(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--tol-rank", type=float, default=1e-10,
+    common.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel,
                         help="relative singular value cutoff for rank decisions")
-    common.add_argument("--tol-residual", type=float, default=1e-8,
+    common.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.residual_rel,
                         help="relative residual below which an equation or inclusion is accepted")
     common.add_argument("--json", action="store_true", help="print the report as JSON")
     common.add_argument("--out", default=None, help="directory for solution matrix files")

@@ -13,15 +13,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import (
-    DimensionMismatch,
     EmptyIntersection,
     HypothesisViolated,
     IntersectionNotInRangeC,
     NotASolution,
     NotSolvable,
 )
-from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, as_matrix, dagger, factor, fro, psd_sqrt, spectral_norm
-from .projections import RangeDecision, inclusion, range_inclusion
+from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, psd_sqrt, shaped, spectral_norm
+from .projections import RangeDecision, inclusion
 
 __all__ = [
     "CongruenceDiagnosis",
@@ -37,14 +36,11 @@ __all__ = [
 ]
 
 
-def _congruence_shapes(a, b, c):
-    a, b, c = as_matrix(a), as_matrix(b), as_matrix(c)
-    m = a.shape[0]
-    if b.shape[0] != m or c.shape != (m, m):
-        raise DimensionMismatch(
-            f"need A, B with {m} rows and C {m}-by-{m}; got {a.shape}, {b.shape}, {c.shape}"
-        )
-    return a, b, c
+SIGNATURE = "A(m,p), B(m,q), C(m,m) -> X(p,p), Y(q,q)"
+CZ_SIGNATURE = "A(m,p), B(m,q), C(m,n) -> X(p,p), Y(q,q), Z(n,m)"
+# The free parameters of the homogeneous solutions, after the operands they go with.
+PARAMETER_SIGNATURE = "A(m,p), B(m,q), V1(q,p), V2(m,p), V3(q,m)"
+INTERSECTION_SIGNATURE = "A(m,p), B(m,q)"
 
 
 @dataclass
@@ -71,7 +67,7 @@ class CongruenceDiagnosis:
 
 
 def diagnose_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> CongruenceDiagnosis:
-    a, b, c = _congruence_shapes(a, b, c)
+    a, b, c = shaped(SIGNATURE, a, b, c)
     return _diagnose(factor(a, tol), factor(b, tol), c, tol)
 
 
@@ -109,17 +105,7 @@ def homogeneous_congruence(a, b, v1, v2, v3, tol: ToleranceConfig = DEFAULT_TOL)
     two right-hand sides cancel against each other by construction.  Both
     range inclusions demanded by the construction are verified first.
     """
-    a, b = as_matrix(a), as_matrix(b)
-    m, p = a.shape
-    if b.shape[0] != m:
-        raise DimensionMismatch(f"A and B must share rows: {a.shape} vs {b.shape}")
-    q = b.shape[1]
-    v1, v2, v3 = as_matrix(v1), as_matrix(v2), as_matrix(v3)
-    if v1.shape != (q, p) or v2.shape != (m, p) or v3.shape != (q, m):
-        raise DimensionMismatch(
-            f"expected V1 {(q, p)}, V2 {(m, p)}, V3 {(q, m)}; "
-            f"got {v1.shape}, {v2.shape}, {v3.shape}"
-        )
+    a, b, v1, v2, v3 = shaped(PARAMETER_SIGNATURE, a, b, v1, v2, v3)
     fa, fb = factor(a, tol), factor(b, tol)
     fb_star = fb.adjoint()
     rhs_x = fa.right_p_astar(b @ v1) + fa.right_n_a(v2)
@@ -148,7 +134,7 @@ def solve_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     x^ = pinv(A) C N_{B*} and y^* = pinv(B) C*, each lifted by one more
     reduced solve; the intermediates stay on the diagnosis for audit.
     """
-    a, b, c = _congruence_shapes(a, b, c)
+    a, b, c = shaped(SIGNATURE, a, b, c)
     fa, fb = factor(a, tol), factor(b, tol)
     diag = _diagnose(fa, fb, c, tol)
     if not diag.hypotheses_hold:
@@ -195,8 +181,7 @@ def solvability_necessity_check(a, b, c, x, y, tol: ToleranceConfig = DEFAULT_TO
     by N_{A*}) forces R(C N_{B*}) in R(A) and R(C* N_{A*}) in R(B), with no
     hypotheses; this checks that necessity on a concrete (x, y).
     """
-    a, b, c = _congruence_shapes(a, b, c)
-    x, y = as_matrix(x), as_matrix(y)
+    a, b, c, x, y = shaped(SIGNATURE, a, b, c, x, y)
     defect = fro(a @ x @ dagger(a) + b @ y @ dagger(b) - c)
     scale = max(fro(c), fro(a) ** 2 * fro(x) + fro(b) ** 2 * fro(y), 1e-300)
     if defect > tol.residual_rel * scale:
@@ -243,9 +228,7 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
     the intersection equals R(A X) + R(A Z*).  The dimension is
     cross-checked against rank A + rank B - rank [A B].
     """
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"A and B must share rows: {a.shape} vs {b.shape}")
+    a, b = shaped(INTERSECTION_SIGNATURE, a, b)
     p, q = a.shape[1], b.shape[1]
     ft = factor(np.hstack([a, -b]), tol)
     proj = ft.right_n_a(np.eye(p + q, dtype=np.complex128))
@@ -259,7 +242,7 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
     # The span's cutoff is anchored to ||A|| rather than to the span itself:
     # when the intersection is trivial the span is pure roundoff and must
     # not be promoted to rank one by a self-relative threshold.
-    basis = factor(np.hstack([a @ x_block, a @ zstar]), tol, anchor=fa.norm).u
+    fspan = factor(np.hstack([a @ x_block, a @ zstar]), tol, anchor=fa.norm)
 
     # S = [A B] = T diag(I, -I): the same spectrum, with the B rows of v negated.
     sign = np.concatenate([np.ones(p), -np.ones(q)])
@@ -274,8 +257,8 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
         z_block=z_block,
         y_block=y_block,
         projection=proj,
-        basis=basis,
-        dim=basis.shape[1],
+        basis=fspan.u,
+        dim=fspan.rank,
         dim_rank_formula=fa.rank + rank_b - fs.rank,
         rank_a=fa.rank,
         rank_b=rank_b,
@@ -283,7 +266,7 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
         pn_s_residual=pn_s_residual,
         ax_eq_bz_residual=fro(a @ x_block - b @ z_block) / scale,
         azstar_eq_by_residual=fro(a @ zstar - b @ y_block) / scale,
-        sqrt_range_in_basis=range_inclusion(sqrt_axa, basis, tol),
+        sqrt_range_in_basis=inclusion(sqrt_axa, fspan, tol),
     )
 
 
@@ -307,12 +290,7 @@ def solve_congruence_cz(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     P N(S) in N(S) is reported on the intersection certificate but not
     enforced; in finite dimensions the construction stands without it.
     """
-    a, b, c = as_matrix(a), as_matrix(b), as_matrix(c)
-    m = a.shape[0]
-    if b.shape[0] != m or c.shape[0] != m:
-        raise DimensionMismatch(
-            f"A, B, C must share the row count: {a.shape}, {b.shape}, {c.shape}"
-        )
+    a, b, c = shaped(CZ_SIGNATURE, a, b, c)
     rep = range_intersection(a, b, tol)
     if rep.dim == 0:
         raise EmptyIntersection("R(A) and R(B) intersect only in 0")

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, HypothesisViolated, RangeNotContained, ToleranceAnomaly
-from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, as_matrix, dagger, factor, fro, psd_sqrt, spectral_norm
+from .exceptions import HypothesisViolated, RangeNotContained, ToleranceAnomaly
+from .kernel import (DEFAULT_TOL, Factorization, ToleranceConfig, as_matrix, dagger, factor, fro, psd_sqrt,
+                     shaped, spectral_norm)
 from .projections import RangeDecision, inclusion, range_equal
 
 __all__ = [
@@ -24,6 +25,8 @@ __all__ = [
     "solve_scaled_equality",
     "polar_range_check",
 ]
+
+SIGNATURE = "A(m,p), C(m,n) -> X(p,n)"
 
 
 @dataclass(frozen=True)
@@ -42,20 +45,13 @@ class ReducedSolutionReport:
     lambda_factor: float
 
 
-def _operands(a, c):
-    a, c = as_matrix(a), as_matrix(c)
-    if a.shape[0] != c.shape[0]:
-        raise DimensionMismatch(f"row counts differ: A is {a.shape}, C is {c.shape}")
-    return a, c
-
-
 def reduced_solution(a, c, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedSolutionReport:
     """Solve A X = C by the reduced (minimum-norm) solution D = pinv(A) C.
 
     Raises :class:`RangeNotContained` when R(C) is not inside R(A), i.e.
     when the equation has no solution.
     """
-    a, c = _operands(a, c)
+    a, c = shaped(SIGNATURE, a, c)
     return _reduced_solution(factor(a, tol), c, tol)
 
 
@@ -84,7 +80,7 @@ def douglas_factor(a, c, tol: ToleranceConfig = DEFAULT_TOL):
     min-eig(lambda (1 + 1e-8) A A* - C C*) >= -1e-8 * ||A A*||_2 is checked
     before returning (else :class:`ToleranceAnomaly`).
     """
-    a, c = _operands(a, c)
+    a, c = shaped(SIGNATURE, a, c)
     fa = factor(a, tol)
     if not inclusion(c, fa, tol).holds:
         return None
@@ -115,7 +111,7 @@ def solve_scaled_equality(a, c, lambda_in: float,
     scaled equality fails the Frobenius check, :class:`ToleranceAnomaly`
     when it passes but the range equality does not.
     """
-    a, c = _operands(a, c)
+    a, c = shaped(SIGNATURE, a, c)
     if not lambda_in > 0.0:
         raise HypothesisViolated(f"lambda must be positive, got {lambda_in!r}")
     aa = a @ dagger(a)

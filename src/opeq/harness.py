@@ -16,7 +16,7 @@ import numpy as np
 from . import congruence, douglas, sylvester
 from .douglas import majorization_gap
 from .exceptions import InfeasibleSpec, ToleranceAnomaly, UnknownEquationTag
-from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, dagger, factor, fro, spectral_norm
+from .kernel import DEFAULT_TOL, ToleranceConfig, dagger, factor, fro, parse_signature, shaped, spectral_norm
 from .projections import inclusion
 from .rng import Xoshiro256StarStar, complex_normal_matrix
 
@@ -257,22 +257,17 @@ def verify(equation: str, operators: dict, solution: dict,
     reduced), ``sylvester`` (A X + Y B = C), ``orthogonal`` (A X + B Y = C
     under A* B = 0), ``congruence`` (A X A* + B Y B* = C) and
     ``congruence-cz`` (A X A* + B Y B* = C Z with X, Y PSD, all nonzero).
+    Operands and unknowns are checked against the equation's shape signature first.
     """
     tag = equation.strip().lower()
     if tag not in EQUATIONS:
         raise UnknownEquationTag(f"unknown equation tag {equation!r}; known: {', '.join(EQUATIONS)}")
-    residuals, decisions, failures = EQUATIONS[tag].verify(operators, solution, tol)
+    eq = EQUATIONS[tag]
+    mats = shaped(eq.signature, *(operators[name] for name in eq.operands),
+                  *(solution[name] for name in eq.unknowns))
+    residuals, decisions, failures = eq.verify(*mats, solution, tol)
     return Certificate(equation=tag, residuals=residuals, decisions=decisions,
                        passed=not failures, failures=tuple(failures))
-
-
-def _get(mapping: dict, *names):
-    out = []
-    for name in names:
-        if name not in mapping:
-            raise KeyError(f"missing operand {name!r}")
-        out.append(as_matrix(mapping[name]))
-    return out
 
 
 def _failures(failed: dict, decisions: dict) -> list:
@@ -281,9 +276,7 @@ def _failures(failed: dict, decisions: dict) -> list:
         name for name, dec in decisions.items() if not dec.holds]
 
 
-def _verify_douglas(ops, sol, tol):
-    a, c = _get(ops, "A", "C")
-    (x,) = _get(sol, "X")
+def _verify_douglas(a, c, x, sol, tol):
     fa = factor(a, tol)
     lam = spectral_norm(x) ** 2
     residuals = {
@@ -300,10 +293,8 @@ def _verify_douglas(ops, sol, tol):
     }, decisions)
 
 
-def _verify_sylvester(ops, sol, tol):
-    a, b, c = _get(ops, "A", "B", "C")
-    x, y = _get(sol, "X", "Y")
-    diag = sylvester.diagnose_ax_yb(a, b, c, tol)
+def _verify_sylvester(a, b, c, x, y, sol, tol):
+    diag = sylvester._diagnose(factor(a, tol), factor(b, tol), c, tol)
     residuals = {
         "equation": fro(a @ x + y @ b - c) / max(fro(c), 1e-300),
         "classical": diag.classical_residual / max(fro(c), 1e-300),
@@ -313,10 +304,8 @@ def _verify_sylvester(ops, sol, tol):
         {name: value > tol.residual_rel for name, value in residuals.items()}, decisions)
 
 
-def _verify_orthogonal(ops, sol, tol):
-    a, b, c = _get(ops, "A", "B", "C")
-    x, y = _get(sol, "X", "Y")
-    lam = float(sol.get("lam", max(spectral_norm(np.vstack([x, y])) ** 2, 0.0)))
+def _verify_orthogonal(a, b, c, x, y, sol, tol):
+    lam = float(sol["lam"]) if "lam" in sol else spectral_norm(np.vstack([x, y])) ** 2
     # ||A A* + B B*||_2 = ||[A B]||_2^2
     fab = factor(np.hstack([a, b]), tol)
     residuals = {
@@ -333,9 +322,7 @@ def _verify_orthogonal(ops, sol, tol):
     }, decisions)
 
 
-def _verify_congruence(ops, sol, tol):
-    a, b, c = _get(ops, "A", "B", "C")
-    x, y = _get(sol, "X", "Y")
+def _verify_congruence(a, b, c, x, y, sol, tol):
     fb = factor(b, tol)
     diag = congruence._diagnose(factor(a, tol), fb, c, tol)
     residuals = {
@@ -352,9 +339,7 @@ def _verify_congruence(ops, sol, tol):
         {name: value > tol.residual_rel for name, value in residuals.items()}, decisions)
 
 
-def _verify_congruence_cz(ops, sol, tol):
-    a, b, c = _get(ops, "A", "B", "C")
-    x, y, z = _get(sol, "X", "Y", "Z")
+def _verify_congruence_cz(a, b, c, x, y, z, sol, tol):
     lhs = a @ x @ dagger(a) + b @ y @ dagger(b)
     scale = max(fro(lhs), fro(c @ z), 1e-300)
     residuals = {"equation": fro(lhs - c @ z) / scale}
@@ -418,22 +403,31 @@ def _solve_congruence_cz(ops, tol, seed):
 
 @dataclass(frozen=True)
 class Equation:
-    """One equation: its operand names, solve adapter and :func:`verify` handler.
+    """One equation: its shape signature, solve adapter and :func:`verify` handler.
 
-    ``solve(operators, tol, seed)`` returns the solution dict that
-    :func:`verify` reads (its matrices are the solution files) and the
-    solver's report fields; ``seed``, where used, draws the free parameters.
+    ``operands`` and ``unknowns`` are the signature's names (see
+    :func:`~opeq.kernel.shaped`).  ``solve(operators, tol, seed)`` returns the
+    solution dict that :func:`verify` reads (its unknowns are the solution
+    files) and the solver's report fields; ``seed``, where used, draws the
+    free parameters.  ``verify`` takes the checked matrices, the solution and tol.
     """
 
-    operands: tuple
+    signature: str
     solve: Callable
     verify: Callable
+    operands: tuple = field(init=False)
+    unknowns: tuple = field(init=False)
+
+    def __post_init__(self):
+        # Derived once here: a per-call parse would cost every verify.
+        for side, entries in zip(("operands", "unknowns"), parse_signature(self.signature)):
+            object.__setattr__(self, side, tuple(name for name, _, _ in entries))
 
 
 EQUATIONS = {
-    "douglas": Equation(("A", "C"), _solve_douglas, _verify_douglas),
-    "sylvester": Equation(("A", "B", "C"), _solve_sylvester, _verify_sylvester),
-    "orthogonal": Equation(("A", "B", "C"), _solve_orthogonal, _verify_orthogonal),
-    "congruence": Equation(("A", "B", "C"), _solve_congruence, _verify_congruence),
-    "congruence-cz": Equation(("A", "B", "C"), _solve_congruence_cz, _verify_congruence_cz),
+    "douglas": Equation(douglas.SIGNATURE, _solve_douglas, _verify_douglas),
+    "sylvester": Equation(sylvester.SIGNATURE, _solve_sylvester, _verify_sylvester),
+    "orthogonal": Equation(sylvester.ORTHOGONAL_SIGNATURE, _solve_orthogonal, _verify_orthogonal),
+    "congruence": Equation(congruence.SIGNATURE, _solve_congruence, _verify_congruence),
+    "congruence-cz": Equation(congruence.CZ_SIGNATURE, _solve_congruence_cz, _verify_congruence_cz),
 }

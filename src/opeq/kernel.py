@@ -8,17 +8,21 @@ is applied.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import EmptyMatrix, NotPSD
+from .exceptions import DimensionMismatch, EmptyMatrix, NotPSD
 
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "Factorization",
     "as_matrix",
+    "parse_signature",
+    "shaped",
     "svd",
     "rank_cutoff",
     "factor",
@@ -62,6 +66,43 @@ def as_matrix(a) -> np.ndarray:
     if m.size and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
+
+
+_ENTRY = re.compile(r"([^\s(),]+)\((\w+),\s*(\w+)\)")
+
+
+@lru_cache(maxsize=None)
+def parse_signature(signature: str) -> tuple:
+    """Operand and unknown entries (name, rows, cols) of a shape signature.
+
+    ``"A(m,p), C(m,n) -> X(p,n)"`` gives ``((("A", "m", "p"), ("C", "m", "n")),
+    (("X", "p", "n"),))``; a signature without ``->`` has no unknowns.
+    """
+    operands, _, unknowns = signature.partition("->")
+    parsed = tuple(_ENTRY.findall(operands)), tuple(_ENTRY.findall(unknowns))
+    if sum(map(len, parsed)) != signature.count("("):
+        raise ValueError(f"malformed shape signature {signature!r}")
+    return parsed
+
+
+def shaped(signature: str, *mats) -> list:
+    """Coerce ``mats`` with :func:`as_matrix` and check them against ``signature``.
+
+    ``mats`` follow the signature's order (see :func:`parse_signature`) and
+    may stop early.  Each dimension letter must have one size throughout,
+    else :class:`DimensionMismatch` names the matrix and the dimension.
+    """
+    operands, unknowns = parse_signature(signature)
+    sizes, out = {}, []
+    for (name, rows, cols), m in zip(operands + unknowns, mats):
+        m = as_matrix(m)
+        for dim, size in zip((rows, cols), m.shape):
+            first = sizes.setdefault(dim, (size, name))
+            if first[0] != size:
+                raise DimensionMismatch(f"{name}({rows},{cols}) is {m.shape[0]}x{m.shape[1]}, "
+                                        f"but {dim} = {first[0]} from {first[1]}")
+        out.append(m)
+    return out
 
 
 def dagger(m) -> np.ndarray:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, HypothesisViolated, NotASolution, NotSolvable
-from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, as_matrix, dagger, factor, fro, spectral_norm
+from .exceptions import HypothesisViolated, NotASolution, NotSolvable
+from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, shaped, spectral_norm
 from .projections import RangeDecision, inclusion
 from .rng import Xoshiro256StarStar, complex_normal_matrix
 
@@ -34,16 +34,10 @@ __all__ = [
 # must vanish for any true solution; see completeness_witness.
 WITNESS_REL = 1e-8
 
-
-def _shapes(a, b, c):
-    a, b, c = as_matrix(a), as_matrix(b), as_matrix(c)
-    m, p = a.shape
-    q, n = b.shape
-    if c.shape != (m, n):
-        raise DimensionMismatch(
-            f"C must be {(m, n)} for A {a.shape} and B {b.shape}, got {c.shape}"
-        )
-    return a, b, c
+SIGNATURE = "A(m,p), B(q,n), C(m,n) -> X(p,n), Y(m,q)"
+# The free parameters of the homogeneous pair, after the operands they go with.
+PARAMETER_SIGNATURE = "A(m,p), B(q,n), W1(p,n), W'(p,q), W4(m,q)"
+ORTHOGONAL_SIGNATURE = "A(m,p), B(m,q), C(m,n) -> X(p,n), Y(q,n)"
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,7 @@ class SylvesterDiagnosis:
 
 
 def diagnose_ax_yb(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> SylvesterDiagnosis:
-    a, b, c = _shapes(a, b, c)
+    a, b, c = shaped(SIGNATURE, a, b, c)
     return _diagnose(factor(a, tol), factor(b, tol), c, tol)
 
 
@@ -96,7 +90,7 @@ def particular_ax_yb(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     identity P_A C N_B + C P_{B*} = C, which holds exactly when the
     diagnosis accepts the instance.
     """
-    a, b, c = _shapes(a, b, c)
+    a, b, c = shaped(SIGNATURE, a, b, c)
     return _particular(factor(a, tol), factor(b, tol), c, tol)
 
 
@@ -123,14 +117,7 @@ def homogeneous_ax_yb(a, b, w1, wprime, w4, tol: ToleranceConfig = DEFAULT_TOL):
 
 
 def _homogeneous(fa: Factorization, fb: Factorization, w1, wprime, w4):
-    m, p = fa.a.shape
-    q, n = fb.a.shape
-    w1, wprime, w4 = as_matrix(w1), as_matrix(wprime), as_matrix(w4)
-    if w1.shape != (p, n) or wprime.shape != (p, q) or w4.shape != (m, q):
-        raise DimensionMismatch(
-            f"expected W1 {(p, n)}, W' {(p, q)}, W4 {(m, q)}; "
-            f"got {w1.shape}, {wprime.shape}, {w4.shape}"
-        )
+    _, _, w1, wprime, w4 = shaped(PARAMETER_SIGNATURE, fa.a, fb.a, w1, wprime, w4)
     fa_star = fa.adjoint()
     fb_star = fb.adjoint()
     x_h = fa_star.n_astar(w1) - fa_star.p_a(fb.right_p_astar(wprime @ fb.a))
@@ -140,7 +127,7 @@ def _homogeneous(fa: Factorization, fb: Factorization, w1, wprime, w4):
 
 def random_params(a, b, seed: int = 0):
     """Seed-driven Gaussian draw of the homogeneous parameters (W1, W', W4)."""
-    a, b = as_matrix(a), as_matrix(b)
+    a, b = shaped(SIGNATURE, a, b)
     m, p = a.shape
     q, n = b.shape
     rng = Xoshiro256StarStar(seed)
@@ -167,7 +154,7 @@ def solve_ax_yb(a, b, c, params=None, tol: ToleranceConfig = DEFAULT_TOL) -> Syl
     ``params`` is the homogeneous triple (W1, W', W4); None selects zeros,
     returning the particular pair itself.
     """
-    a, b, c = _shapes(a, b, c)
+    a, b, c = shaped(SIGNATURE, a, b, c)
     m, p = a.shape
     q, n = b.shape
     if params is None:
@@ -204,8 +191,7 @@ def completeness_witness(a, b, c, x0, y0, tol: ToleranceConfig = DEFAULT_TOL) ->
     the components P_{A*} (x0 - x_p) N_B and N_{A*} (y0 - y_p) P_B, which no
     parameter choice can produce, must vanish.
     """
-    a, b, c = _shapes(a, b, c)
-    x0, y0 = as_matrix(x0), as_matrix(y0)
+    a, b, c, x0, y0 = shaped(SIGNATURE, a, b, c, x0, y0)
     defect = fro(a @ x0 + y0 @ b - c)
     scale0 = max(fro(c), fro(a) * fro(x0) + fro(y0) * fro(b), 1e-300)
     if defect > tol.residual_rel * scale0:
@@ -235,12 +221,8 @@ def solve_ax_by_orthogonal(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     P_{T*} is block diagonal when A* B = 0.  Returns (x, y, lam) with
     lam = ||[x; y]||_2^2 certifying C C* <= lam (A A* + B B*).
     """
-    a, b, c = as_matrix(a), as_matrix(b), as_matrix(c)
-    m, p = a.shape
-    if b.shape[0] != m or c.shape[0] != m:
-        raise DimensionMismatch(
-            f"A, B, C must share the row count: {a.shape}, {b.shape}, {c.shape}"
-        )
+    a, b, c = shaped(ORTHOGONAL_SIGNATURE, a, b, c)
+    p = a.shape[1]
     defect = fro(dagger(a) @ b)
     bound = 1e-10 * spectral_norm(a) * spectral_norm(b)
     if defect > bound:

@@ -53,6 +53,10 @@ def test_block_k_must_divide(tmp_path):
     path = write(tmp_path / "blk2.json",
                  {"rows": 4, "cols": 4, "block_k": 2, "data": [[0.0, 0.0]] * 16})
     assert load_matrix_meta(path)[1] == 2
+    assert run_command(["gen", "--family", "equal-range-pair", "--seed", "1",
+                        "--shape", "6,5,4,3,2", "--out", str(tmp_path / "gen")]) == 0
+    m, block_k = load_matrix_meta(tmp_path / "gen" / "A.json")
+    assert m.shape == (12, 10) and block_k == 2
 
 
 def test_parse_errors(tmp_path):
@@ -124,6 +128,8 @@ def test_solve_douglas_and_range_not_contained(tmp_path, capsys):
     assert code == 0
     assert report["lambda_factor"] == pytest.approx(0.49)
     np.testing.assert_allclose(load_matrix(out_dir / "X.json"), np.diag([0.7, 0.0]))
+    assert run_command(["solve", "douglas", "--A", files["A"], "--C", files["C"]]) == 0
+    assert "\nsolution:\n  X: matrix 2x2\n" in capsys.readouterr().out
     code = run_command(["solve", "douglas", "--A", files["A"], "--C", files["BADC"], "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 2 and report["error"] == "RangeNotContained"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opeq import (
+    DimensionMismatch,
     EmptyIntersection,
     HypothesisViolated,
     IntersectionNotInRangeC,
@@ -130,6 +131,9 @@ def test_homogeneous_rejects_bad_parameters():
     with pytest.raises(HypothesisViolated):
         homogeneous_congruence(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
                                np.ones((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(DimensionMismatch, match=r"^V3\(q,m\)"):
+        homogeneous_congruence(np.eye(2), np.ones((2, 3)),
+                               np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_intersection_worked_single_column():

@@ -46,10 +46,10 @@ def svd_count(monkeypatch):
 # already holds, so a helper that factors an operand again breaks it.
 BOUNDS = {
     "sylvester": ("sylvester-solvable", 2, 2),
-    "orthogonal": ("orthogonal-pair", 4, 4),
+    "orthogonal": ("orthogonal-pair", 4, 3),
     "congruence": ("congruence-solvable", 2, 2),
     "douglas": ("scaled-equality-pair", 2, 2),
-    "congruence-cz": ("equal-range-pair", 9, 3),
+    "congruence-cz": ("equal-range-pair", 8, 3),
 }
 
 

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from opeq import (
+    DEFAULT_TOL,
+    DimensionMismatch,
     InfeasibleSpec,
     InstanceSpec,
     UnknownEquationTag,
+    completeness_witness,
     diagnose_ax_yb,
     diagnose_congruence,
     generate,
     range_equal,
+    solvability_necessity_check,
     solve_ax_by_orthogonal,
     verify,
 )
-from opeq.harness import ranked_matrix, random_unitary
+from opeq.harness import EQUATIONS, ranked_matrix, random_unitary
 from opeq.rng import Xoshiro256StarStar, _splitmix64_fill, complex_normal_matrix
 
 
@@ -173,6 +177,11 @@ def test_verify_accepts_exact_solution():
     assert cert.residuals["equation"] <= 1e-12
 
 
+# A X A* + B Y B* = C Z solved by hand: R(A) ^ R(B) = span(e1) lies in R(C).
+CZ_OPS = {"A": np.diag([1.0, 0.0]), "B": np.diag([1.0, 0.0]), "C": np.eye(2)}
+CZ_SOL = {"X": np.diag([0.5, 1.0]), "Y": np.diag([0.5, 1.0]), "Z": np.diag([1.0, 0.0])}
+
+
 def test_verify_rejects_perturbed_solution():
     out = generate(InstanceSpec(seed=22, family="sylvester-solvable"))
     rng = Xoshiro256StarStar(23)
@@ -180,6 +189,11 @@ def test_verify_rejects_perturbed_solution():
     cert = verify("sylvester", out, {"X": out["X0"] + noise, "Y": out["Y0"]})
     assert not cert.passed and "equation" in cert.failures
     assert 1e-5 <= cert.residuals["equation"] <= 1e-1
+    assert verify("congruence-cz", CZ_OPS, CZ_SOL).passed
+    cert = verify("congruence-cz", CZ_OPS, {**CZ_SOL, "Z": CZ_SOL["Z"] + 1e-3 * np.eye(2)})
+    assert cert.failures == ("equation",)
+    cert = verify("congruence-cz", CZ_OPS, {**CZ_SOL, "X": -CZ_SOL["X"], "Y": -CZ_SOL["Y"]})
+    assert {"x_psd", "y_psd"} <= set(cert.failures)
 
 
 def test_verify_rejects_zero_solution():
@@ -188,6 +202,8 @@ def test_verify_rejects_zero_solution():
     cert = verify("sylvester", out, zero)
     assert not cert.passed
     assert cert.residuals["equation"] == pytest.approx(1.0, abs=1e-12)
+    cert = verify("congruence-cz", CZ_OPS, {**CZ_SOL, "Z": np.zeros((2, 2))})
+    assert "z_nonzero" in cert.failures
 
 
 def test_verify_douglas_checks_reducedness():
@@ -207,3 +223,39 @@ def test_verify_douglas_checks_reducedness():
 def test_verify_unknown_tag():
     with pytest.raises(UnknownEquationTag):
         verify("riccati", {}, {})
+
+
+# equation tag -> generated family with a solvable instance of it.
+SOLVABLE_FAMILY = {
+    "douglas": "scaled-equality-pair",
+    "sylvester": "sylvester-solvable",
+    "orthogonal": "orthogonal-pair",
+    "congruence": "congruence-solvable",
+    "congruence-cz": "equal-range-pair",
+}
+
+# Checks of a known solution besides verify; each takes (A, B, C, X, Y).
+KNOWN_SOLUTION_CHECKS = {"sylvester": completeness_witness,
+                         "congruence": solvability_necessity_check}
+
+
+def one_more_row(mats, name):
+    m = mats[name]
+    return {**mats, name: np.vstack([m, np.zeros((1, m.shape[1]))])}
+
+
+@pytest.mark.parametrize("tag", list(EQUATIONS))
+def test_verify_rejects_mismatched_shapes(tag):
+    ops = generate(InstanceSpec(seed=3, family=SOLVABLE_FAMILY[tag]))
+    ops.setdefault("C", ops["A"])  # equal-range-pair: R(A) ^ R(B) = R(A) = R(C)
+    sol, _ = EQUATIONS[tag].solve(ops, DEFAULT_TOL, None)
+    checks = [lambda ops, sol: verify(tag, ops, sol)]
+    if tag in KNOWN_SOLUTION_CHECKS:
+        known = KNOWN_SOLUTION_CHECKS[tag]
+        checks.append(lambda ops, sol: known(ops["A"], ops["B"], ops["C"], sol["X"], sol["Y"]))
+    for check in checks:
+        # C shares its rows with A, and X its rows with A's columns, in every signature.
+        with pytest.raises(DimensionMismatch, match=r"^C\("):
+            check(one_more_row(ops, "C"), sol)
+        with pytest.raises(DimensionMismatch, match=r"^X\("):
+            check(ops, one_more_row(sol, "X"))

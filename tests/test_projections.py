@@ -9,6 +9,8 @@ from opeq import (
     projection_quad,
     range_equal,
     range_inclusion,
+    range_intersection,
+    solve_congruence_cz,
 )
 from opeq.harness import ranked_matrix
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
@@ -103,6 +105,10 @@ def test_range_inclusion_rank_data_corroborates():
 def test_range_inclusion_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         range_inclusion(np.eye(3), np.eye(2))
+    with pytest.raises(DimensionMismatch, match=r"^B\(m,q\)"):
+        range_intersection(np.eye(3), np.eye(2))
+    with pytest.raises(DimensionMismatch, match=r"^C\(m,n\)"):
+        solve_congruence_cz(np.eye(2), np.eye(2), np.eye(3))
 
 
 def test_range_equal_examples():

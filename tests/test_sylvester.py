@@ -10,6 +10,7 @@ from opeq import (
     NotSolvable,
     completeness_witness,
     diagnose_ax_yb,
+    diagnose_congruence,
     homogeneous_ax_yb,
     particular_ax_yb,
     projection_quad,
@@ -44,6 +45,10 @@ def test_diagnose_zero_rhs_trivially_solvable():
 def test_diagnose_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         diagnose_ax_yb(np.eye(2), np.eye(2), np.eye(3))
+    with pytest.raises(DimensionMismatch, match=r"^C\(m,m\)"):
+        diagnose_congruence(np.eye(2), np.eye(2), np.ones((2, 3)))
+    with pytest.raises(DimensionMismatch, match=r"^B\(m,q\)"):
+        solve_ax_by_orthogonal(np.eye(2), np.eye(3), np.eye(2))
 
 
 def test_particular_worked_instance():

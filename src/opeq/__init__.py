@@ -35,6 +35,8 @@ from .exceptions import (
     HypothesisViolated,
     InfeasibleSpec,
     IntersectionNotInRangeC,
+    InvalidMatrix,
+    MissingMatrix,
     NotASolution,
     NotPSD,
     NotSolvable,

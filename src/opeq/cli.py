@@ -25,7 +25,7 @@ from .exceptions import (
     OpeqError,
     RangeNotContained,
 )
-from .kernel import DEFAULT_TOL, ToleranceConfig, factor
+from .kernel import DEFAULT_TOL, ToleranceConfig, factor, fro
 from .matrixio import load_matrix, matrix_to_obj, save_matrix
 from .projections import RangeDecision
 
@@ -123,8 +123,9 @@ def _render_text(obj, indent=0, key=None):
     pad = "  " * indent
     label = f"{pad}{key}: " if key is not None else pad
     if isinstance(obj, dict):
-        if "rows" in obj and "cols" in obj and "data" in obj:
-            print(f"{label}matrix {obj['rows']}x{obj['cols']}")
+        if "rows" in obj and "cols" in obj and ("data" in obj or "path" in obj):
+            where = f" in {obj['path']}" if "path" in obj else ""
+            print(f"{label}matrix {obj['rows']}x{obj['cols']}{where}")
             return
         if key is not None:
             print(f"{pad}{key}:")
@@ -156,14 +157,23 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def _write_solutions(out_dir, mats: dict) -> dict:
+    """Write each matrix to ``<out_dir>/<name>.json``; nothing without ``out_dir``.
+
+    Returns the report entry of each written matrix, which stands in for
+    its inline data: path, shape, Frobenius norm and SHA-256 of the bytes.
+    """
     written = {}
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         for name, m in mats.items():
             path = os.path.join(out_dir, f"{name}.json")
-            save_matrix(path, m)
-            written[name] = path
+            written[name] = {"path": path, "rows": m.shape[0], "cols": m.shape[1],
+                             "fro": fro(m), "sha256": save_matrix(path, m)}
     return written
+
+
+def _files(written: dict) -> dict:
+    return {name: entry["path"] for name, entry in written.items()}
 
 
 def _cmd_diagnose(args) -> int:
@@ -197,12 +207,13 @@ def _cmd_solve(args) -> int:
     solution, fields = eq.solve(ops, tol, args.seed)
     cert = harness.verify(args.equation, ops, solution, tol)
     mats = {name: solution[name] for name in eq.unknowns}
+    written = _write_solutions(args.out, mats)
     report = {
         "command": f"solve {args.equation}",
         **fields,
         "certificate": asdict(cert),
-        "solution": {name: matrix_to_obj(m) for name, m in mats.items()},
-        "files": _write_solutions(args.out, mats),
+        "solution": {name: written.get(name) or matrix_to_obj(m) for name, m in mats.items()},
+        "files": _files(written),
     }
     _emit(report, args.json)
     return EXIT_OK if cert.passed else EXIT_UNSOLVABLE
@@ -211,6 +222,9 @@ def _cmd_solve(args) -> int:
 def _cmd_intersect(args) -> int:
     tol = _tol(args)
     rep = congruence.range_intersection(load_matrix(args.A), load_matrix(args.B), tol)
+    written = _write_solutions(args.out, {
+        "basis": rep.basis, "X": rep.x_block, "Z": rep.z_block, "Y": rep.y_block,
+    })
     report = {
         "command": "intersect",
         "dim": rep.dim,
@@ -222,11 +236,9 @@ def _cmd_intersect(args) -> int:
             "azstar_eq_by": rep.azstar_eq_by_residual,
         },
         "decisions": {"sqrt_range_in_basis": asdict(rep.sqrt_range_in_basis)},
-        "basis": matrix_to_obj(rep.basis),
+        "basis": written.get("basis") or matrix_to_obj(rep.basis),
+        "files": _files(written),
     }
-    report["files"] = _write_solutions(args.out, {
-        "basis": rep.basis, "X": rep.x_block, "Z": rep.z_block, "Y": rep.y_block,
-    })
     _emit(report, args.json)
     return EXIT_OK
 

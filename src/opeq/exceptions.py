@@ -5,6 +5,17 @@ class OpeqError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidMatrix(OpeqError, ValueError):
+    """Input is not a 2-D array of finite numbers; also a ``ValueError``."""
+
+
+class MissingMatrix(OpeqError, KeyError):
+    """An operand or unknown the equation names is absent; also a ``KeyError``."""
+
+    # KeyError would quote the message like a missing key.
+    __str__ = OpeqError.__str__
+
+
 class EmptyMatrix(OpeqError):
     """A factorization was requested for a matrix with no entries."""
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import congruence, douglas, sylvester
 from .douglas import majorization_gap
-from .exceptions import InfeasibleSpec, ToleranceAnomaly, UnknownEquationTag
+from .exceptions import InfeasibleSpec, MissingMatrix, ToleranceAnomaly, UnknownEquationTag
 from .kernel import DEFAULT_TOL, ToleranceConfig, dagger, factor, fro, parse_signature, shaped, spectral_norm
 from .projections import inclusion
 from .rng import Xoshiro256StarStar, complex_normal_matrix
@@ -257,12 +257,17 @@ def verify(equation: str, operators: dict, solution: dict,
     reduced), ``sylvester`` (A X + Y B = C), ``orthogonal`` (A X + B Y = C
     under A* B = 0), ``congruence`` (A X A* + B Y B* = C) and
     ``congruence-cz`` (A X A* + B Y B* = C Z with X, Y PSD, all nonzero).
-    Operands and unknowns are checked against the equation's shape signature first.
+    Operands and unknowns are checked against the equation's shape signature
+    first; :class:`MissingMatrix` names every one absent from the dicts.
     """
     tag = equation.strip().lower()
     if tag not in EQUATIONS:
         raise UnknownEquationTag(f"unknown equation tag {equation!r}; known: {', '.join(EQUATIONS)}")
     eq = EQUATIONS[tag]
+    missing = ([f"operand {name}" for name in eq.operands if name not in operators]
+               + [f"unknown {name}" for name in eq.unknowns if name not in solution])
+    if missing:
+        raise MissingMatrix(f"{tag}: missing {', '.join(missing)}")
     mats = shaped(eq.signature, *(operators[name] for name in eq.operands),
                   *(solution[name] for name in eq.unknowns))
     residuals, decisions, failures = eq.verify(*mats, solution, tol)

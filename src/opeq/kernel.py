@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, EmptyMatrix, NotPSD
+from .exceptions import DimensionMismatch, EmptyMatrix, InvalidMatrix, NotPSD
 
 __all__ = [
     "ToleranceConfig",
@@ -59,12 +59,18 @@ DEFAULT_TOL = ToleranceConfig()
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a 2-D complex128 array, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=np.complex128)
+    """Coerce ``a`` to a 2-D complex128 array; :class:`InvalidMatrix` if it is not one.
+
+    Ragged, non-numeric, non-2-D and non-finite input are all rejected.
+    """
+    try:
+        m = np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InvalidMatrix(f"not a numeric matrix: {exc}") from exc
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+        raise InvalidMatrix(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size and not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        raise InvalidMatrix("matrix entries must be finite (no NaN/Inf)")
     return m
 
 

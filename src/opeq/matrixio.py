@@ -67,13 +67,20 @@ def obj_to_matrix(obj, where: str = "<memory>"):
     return pairs.view(np.complex128).reshape(rows, cols), block_k
 
 
-def save_matrix(path, m, block_k: int | None = None) -> None:
-    obj = matrix_to_obj(m, block_k)
+def save_matrix(path, m, block_k: int | None = None) -> str:
+    """Write ``m`` to ``path``; returns the SHA-256 hex digest of the bytes written."""
+    # Imported here: hashlib loads OpenSSL, several MB of resident memory
+    # that in-process callers which never write a file should not carry.
+    import hashlib
+
+    # json.dumps runs the C encoder; json.dump streams through the Python one.
+    text = json.dumps(matrix_to_obj(m, block_k), separators=(",", ":")) + "\n"
+    raw = text.encode("ascii")
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        # json.dumps runs the C encoder; json.dump streams through the Python one.
-        fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    with open(tmp, "wb") as fh:
+        fh.write(raw)
     os.replace(tmp, path)
+    return hashlib.sha256(raw).hexdigest()
 
 
 def load_matrix(path) -> np.ndarray:

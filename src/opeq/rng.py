@@ -20,11 +20,17 @@ streams can be reproduced from this description alone:
 
 The 64-bit integer stream is bit-exact on any platform; the derived floats
 are deterministic given IEEE-754 doubles and the platform's libm.
+
+:func:`complex_normal_matrix` draws the same stream in blocks: a Python
+loop advances the state, the scrambler and Box-Muller's exact operations
+run on arrays, and ``log``/``cos``/``sin`` still go through ``math`` (libm),
+so every entry matches the scalar methods bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -82,10 +88,49 @@ class Xoshiro256StarStar:
         return complex(re, im)
 
 
+# Entries per block of complex_normal_matrix; bounds its temporaries.
+_BLOCK = 1024
+
+
+def _uniforms(raw: array) -> np.ndarray:
+    """Uniform doubles from the ``s1`` words the state held: scrambler, then top 53 bits."""
+    x = np.frombuffer(raw, dtype=np.uint64) * np.uint64(5)  # uint64 wraps mod 2**64
+    x = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+    # Integers below 2**53 convert exactly, and the power-of-two scale is exact.
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` applied entrywise, so results match the scalar path."""
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
+
+
 def complex_normal_matrix(rng: Xoshiro256StarStar, rows: int, cols: int) -> np.ndarray:
-    """Row-major matrix of independent standard complex normal entries."""
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i in range(rows):
-        for j in range(cols):
-            out[i, j] = rng.complex_normal()
-    return out
+    """Row-major matrix of independent standard complex normal entries.
+
+    The stream and the generator's final state equal ``rows * cols`` calls
+    of :meth:`Xoshiro256StarStar.complex_normal`.
+    """
+    out = np.empty(rows * cols, dtype=np.complex128)
+    s0, s1, s2, s3 = rng._s
+    for start in range(0, out.size, _BLOCK):
+        count = min(_BLOCK, out.size - start)
+        raw = array("Q", bytes(16 * count))
+        # Two draws per entry: keep s1 for the scrambler, then advance the state.
+        for i in range(2 * count):
+            raw[i] = s1
+            t = (s1 << 17) & _MASK
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) & _MASK) | (s3 >> 19)
+        u = _uniforms(raw)
+        r = np.sqrt(-2.0 * _libm(math.log, 1.0 - u[0::2]))
+        theta = (2.0 * math.pi) * u[1::2]
+        block = out[start:start + count]
+        block.real = r * _libm(math.cos, theta)
+        block.imag = r * _libm(math.sin, theta)
+    rng._s[:] = [s0, s1, s2, s3]
+    return out.reshape(rows, cols)

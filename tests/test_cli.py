@@ -1,6 +1,7 @@
 """Tests of the matrix file format and the command line interface."""
 
 import argparse
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from opeq import (ParseError, ShapeError, ToleranceConfig, harness, load_matrix, load_matrix_meta,
                   save_matrix)
+from opeq.matrixio import matrix_to_obj
 from opeq.cli import (DEMO_MAX_N, build_parser, make_truncated_shift, run_command,
                       truncated_shift_demo)
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
@@ -336,3 +338,64 @@ def test_solve_choices_are_the_equation_table():
         ops.setdefault("C", ops["A"])  # equal-range-pair: R(A) ^ R(B) = R(A) = R(C)
         solution, _ = harness.EQUATIONS[tag].solve(ops, ToleranceConfig(), None)
         assert harness.verify(tag, ops, solution).passed
+
+
+def assert_file_entry(entry, m):
+    """A report entry that refers to a written matrix file instead of inlining it."""
+    assert set(entry) == {"path", "rows", "cols", "fro", "sha256"}
+    with open(entry["path"], "rb") as fh:
+        assert entry["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+    assert (entry["rows"], entry["cols"]) == m.shape
+    assert entry["fro"] == pytest.approx(np.linalg.norm(m), rel=1e-14)
+
+
+@pytest.mark.parametrize("tag", list(SOLVABLE_FAMILY))
+def test_solve_out_reports_files_not_data(tmp_path, capsys, tag):
+    flags = gen_instance(tmp_path, SOLVABLE_FAMILY[tag])
+    capsys.readouterr()
+    files = dict(zip(flags[::2], flags[1::2]))
+    if tag == "douglas":
+        del files["--B"]
+    if tag == "congruence-cz":
+        files["--C"] = files["--A"]
+    argv = ["solve", tag, *(arg for item in files.items() for arg in item)]
+    assert run_command([*argv, "--json"]) == 0
+    inline = json.loads(capsys.readouterr().out)
+    out = tmp_path / "sol"
+    assert run_command([*argv, "--json", "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    unknowns = harness.EQUATIONS[tag].unknowns
+    assert set(report["solution"]) == set(unknowns) == set(report["files"])
+    sol = {}
+    for name in unknowns:
+        sol[name] = load_matrix(report["files"][name])
+        assert_file_entry(report["solution"][name], sol[name])
+        # Without --out the matrix is inline, as matrix_to_obj writes it.
+        assert inline["solution"][name] == matrix_to_obj(sol[name])
+    assert inline["files"] == {}
+    assert {k: v for k, v in report.items() if k not in ("solution", "files")} == {
+        k: v for k, v in inline.items() if k not in ("solution", "files")}
+    ops = {flag[2:]: load_matrix(path) for flag, path in files.items()}
+    assert harness.verify(tag, ops, sol).passed
+
+
+def test_solve_out_text_names_the_file(tmp_path, capsys):
+    files = save_instance(tmp_path, A=np.diag([1.0, 0.0]), C=np.diag([0.7, 0.0]))
+    out = tmp_path / "out"
+    assert run_command(["solve", "douglas", "--A", files["A"], "--C", files["C"],
+                        "--out", str(out)]) == 0
+    assert f"\nsolution:\n  X: matrix 2x2 in {out / 'X.json'}\n" in capsys.readouterr().out
+
+
+def test_intersect_out_reports_basis_file(tmp_path, capsys):
+    files = save_instance(tmp_path, A=np.diag([1.0, 1.0, 0.0]), B=np.diag([0.0, 1.0, 1.0]))
+    argv = ["intersect", "--A", files["A"], "--B", files["B"], "--json"]
+    assert run_command(argv) == 0
+    inline = json.loads(capsys.readouterr().out)
+    assert run_command([*argv, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    basis = load_matrix(report["files"]["basis"])
+    assert_file_entry(report["basis"], basis)
+    assert inline["basis"] == matrix_to_obj(basis) and inline["files"] == {}
+    assert set(report["files"]) == {"basis", "X", "Z", "Y"}
+    assert report["dim"] == inline["dim"] == 1

@@ -8,6 +8,9 @@ from opeq import (
     DimensionMismatch,
     InfeasibleSpec,
     InstanceSpec,
+    InvalidMatrix,
+    MissingMatrix,
+    OpeqError,
     UnknownEquationTag,
     completeness_witness,
     diagnose_ax_yb,
@@ -223,6 +226,25 @@ def test_verify_douglas_checks_reducedness():
 def test_verify_unknown_tag():
     with pytest.raises(UnknownEquationTag):
         verify("riccati", {}, {})
+
+
+def test_verify_names_missing_matrices():
+    ops = {"A": CZ_OPS["A"], "C": CZ_OPS["C"]}
+    assert issubclass(MissingMatrix, OpeqError) and issubclass(MissingMatrix, KeyError)
+    with pytest.raises(MissingMatrix, match="^congruence-cz: missing operand B$"):
+        verify("congruence-cz", ops, CZ_SOL)
+    sol = {"Y": CZ_SOL["Y"]}
+    with pytest.raises(MissingMatrix, match="^congruence-cz: missing unknown X, unknown Z$"):
+        verify("congruence-cz", CZ_OPS, sol)
+    with pytest.raises(KeyError, match="operand B, unknown X, unknown Z"):
+        verify("congruence-cz", ops, sol)
+
+
+def test_verify_rejects_non_finite_operand():
+    ops = {**CZ_OPS, "C": np.array([[np.nan, 0.0], [0.0, 1.0]])}
+    with pytest.raises(OpeqError) as info:
+        verify("congruence-cz", ops, CZ_SOL)
+    assert isinstance(info.value, InvalidMatrix) and isinstance(info.value, ValueError)
 
 
 # equation tag -> generated family with a solvable instance of it.

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from opeq import EmptyMatrix, NotPSD, ToleranceConfig, as_matrix, factor, pinv, psd_sqrt, svd
+from opeq import (EmptyMatrix, InvalidMatrix, NotPSD, ToleranceConfig, as_matrix, factor, pinv,
+                  psd_sqrt, svd)
 from opeq.harness import random_unitary, ranked_matrix
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
@@ -211,3 +212,10 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.full((2, 2), np.nan), [[1.0, 2.0], [3.0]],
+                                 [["x"]]])
+def test_as_matrix_raises_invalid_matrix(bad):
+    with pytest.raises(InvalidMatrix):
+        as_matrix(bad)

@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import congruence, harness, sylvester
+from . import congruence, harness
 from .exceptions import (
     EmptyIntersection,
     IntersectionNotInRangeC,
@@ -156,8 +156,8 @@ def _emit(report: dict, as_json: bool) -> None:
         _render_text(report)
 
 
-def _write_solutions(out_dir, mats: dict) -> dict:
-    """Write each matrix to ``<out_dir>/<name>.json``; nothing without ``out_dir``.
+def _write_matrices(out_dir, mats: dict, block_k: int | None = None) -> dict:
+    """Write each matrix to ``<out_dir>/<name>.json`` with ``block_k``; nothing without ``out_dir``.
 
     Returns the report entry of each written matrix, which stands in for
     its inline data: path, shape, Frobenius norm and SHA-256 of the bytes.
@@ -168,7 +168,7 @@ def _write_solutions(out_dir, mats: dict) -> dict:
         for name, m in mats.items():
             path = os.path.join(out_dir, f"{name}.json")
             written[name] = {"path": path, "rows": m.shape[0], "cols": m.shape[1],
-                             "fro": fro(m), "sha256": save_matrix(path, m)}
+                             "fro": fro(m), "sha256": save_matrix(path, m, block_k)}
     return written
 
 
@@ -177,23 +177,10 @@ def _files(written: dict) -> dict:
 
 
 def _cmd_diagnose(args) -> int:
-    tol = _tol(args)
-    a = load_matrix(args.A)
-    b = load_matrix(args.B)
-    c = load_matrix(args.C)
-    if args.equation == "sylvester":
-        diag = sylvester.diagnose_ax_yb(a, b, c, tol)
-        report = {"command": "diagnose sylvester"}
-    else:
-        diag = congruence.diagnose_congruence(a, b, c, tol)
-        if diag.solvable:
-            status = "solvable"
-        elif diag.cond_cnbstar_in_a.holds and diag.cond_cstar_nastar_in_b.holds:
-            status = "inconclusive"
-        else:
-            status = "unsolvable"
-        report = {"command": "diagnose congruence", "status": status}
-    report.update(_diagnosis_fields(diag))
+    eq = harness.EQUATIONS[args.equation]
+    ops = {name: load_matrix(getattr(args, name)) for name in eq.operands}
+    diag, fields = eq.diagnose(ops, _tol(args))
+    report = {"command": f"diagnose {args.equation}", **fields, **_diagnosis_fields(diag)}
     _emit(report, args.json)
     return EXIT_OK if diag.solvable else EXIT_UNSOLVABLE
 
@@ -207,7 +194,7 @@ def _cmd_solve(args) -> int:
     solution, fields = eq.solve(ops, tol, args.seed)
     cert = harness.verify(args.equation, ops, solution, tol)
     mats = {name: solution[name] for name in eq.unknowns}
-    written = _write_solutions(args.out, mats)
+    written = _write_matrices(args.out, mats)
     report = {
         "command": f"solve {args.equation}",
         **fields,
@@ -222,7 +209,7 @@ def _cmd_solve(args) -> int:
 def _cmd_intersect(args) -> int:
     tol = _tol(args)
     rep = congruence.range_intersection(load_matrix(args.A), load_matrix(args.B), tol)
-    written = _write_solutions(args.out, {
+    written = _write_matrices(args.out, {
         "basis": rep.basis, "X": rep.x_block, "Z": rep.z_block, "Y": rep.y_block,
     })
     report = {
@@ -269,25 +256,17 @@ def _cmd_gen(args) -> int:
     spec = harness.InstanceSpec(seed=args.seed, family=args.family, shape=shape,
                                 ranks=_parse_ranks(args.ranks), params=params)
     out = harness.generate(spec)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     block_k = shape[4] if len(shape) == 5 and shape[4] > 1 else None
-    files = {}
-    scalars = {}
-    for name, value in sorted(out.items()):
-        if isinstance(value, np.ndarray):
-            path = os.path.join(out_dir, f"{name}.json")
-            save_matrix(path, value, block_k=block_k)
-            files[name] = path
-        else:
-            scalars[name] = value
+    mats = {name: value for name, value in sorted(out.items()) if isinstance(value, np.ndarray)}
+    written = _write_matrices(args.out or ".", mats, block_k)
     report = {
         "command": "gen",
         "family": args.family,
         "seed": args.seed,
         "shape": list(shape),
-        "files": files,
+        "files": _files(written),
     }
+    scalars = {name: value for name, value in sorted(out.items()) if name not in mats}
     if scalars:
         report["params"] = scalars
     _emit(report, args.json)
@@ -315,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("diagnose", parents=[common], help="solvability diagnosis with certificate")
-    p.add_argument("equation", choices=["sylvester", "congruence"])
+    p.add_argument("equation", choices=[tag for tag, eq in harness.EQUATIONS.items() if eq.diagnose])
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
     p.add_argument("--C", required=True)
@@ -369,7 +348,7 @@ def run_command(argv) -> int:
         return EXIT_ERROR
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (OpeqError, ValueError) as exc:
+    except (OpeqError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -366,7 +366,8 @@ def _verify_congruence_cz(a, b, c, x, y, z, sol, tol):
     return residuals, {}, failures
 
 
-# Solve adapters: (operators, tol, seed) -> (solution for verify, report fields).
+# Solve adapters: (operators, tol, seed) -> (solution for verify, report fields);
+# diagnose adapters: (operators, tol) -> (diagnosis, report fields).
 # Each calls its solver through the module at call time, so a wrapper
 # installed on the module attribute (as the benchmark's tracer does) sees it.
 
@@ -406,20 +407,39 @@ def _solve_congruence_cz(ops, tol, seed):
     }
 
 
+def _diagnose_sylvester(ops, tol):
+    return sylvester.diagnose_ax_yb(ops["A"], ops["B"], ops["C"], tol), {}
+
+
+def _diagnose_congruence(ops, tol):
+    diag = congruence.diagnose_congruence(ops["A"], ops["B"], ops["C"], tol)
+    if diag.solvable:
+        status = "solvable"
+    elif diag.cond_cnbstar_in_a.holds and diag.cond_cstar_nastar_in_b.holds:
+        # The criteria hold, but a hypothesis of their sufficiency fails.
+        status = "inconclusive"
+    else:
+        status = "unsolvable"
+    return diag, {"status": status}
+
+
 @dataclass(frozen=True)
 class Equation:
-    """One equation: its shape signature, solve adapter and :func:`verify` handler.
+    """One equation: its shape signature, solve, :func:`verify` and diagnose adapters.
 
     ``operands`` and ``unknowns`` are the signature's names (see
     :func:`~opeq.kernel.shaped`).  ``solve(operators, tol, seed)`` returns the
     solution dict that :func:`verify` reads (its unknowns are the solution
     files) and the solver's report fields; ``seed``, where used, draws the
     free parameters.  ``verify`` takes the checked matrices, the solution and tol.
+    ``diagnose(operators, tol)``, None for an equation without a separate
+    diagnosis, returns the diagnosis and the report fields that precede it.
     """
 
     signature: str
     solve: Callable
     verify: Callable
+    diagnose: Callable | None = None
     operands: tuple = field(init=False)
     unknowns: tuple = field(init=False)
 
@@ -431,8 +451,9 @@ class Equation:
 
 EQUATIONS = {
     "douglas": Equation(douglas.SIGNATURE, _solve_douglas, _verify_douglas),
-    "sylvester": Equation(sylvester.SIGNATURE, _solve_sylvester, _verify_sylvester),
+    "sylvester": Equation(sylvester.SIGNATURE, _solve_sylvester, _verify_sylvester, _diagnose_sylvester),
     "orthogonal": Equation(sylvester.ORTHOGONAL_SIGNATURE, _solve_orthogonal, _verify_orthogonal),
-    "congruence": Equation(congruence.SIGNATURE, _solve_congruence, _verify_congruence),
+    "congruence": Equation(congruence.SIGNATURE, _solve_congruence, _verify_congruence,
+                           _diagnose_congruence),
     "congruence-cz": Equation(congruence.CZ_SIGNATURE, _solve_congruence_cz, _verify_congruence_cz),
 }

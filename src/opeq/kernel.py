@@ -3,7 +3,9 @@
 Operators are plain 2-D ``numpy`` arrays with complex128 entries.  Every
 rank and range decision made elsewhere in the package goes through
 :func:`factor`, the one place the rank cutoff (see :class:`ToleranceConfig`)
-is applied.
+is applied.  Input from outside the package is coerced and scanned once,
+by :func:`shaped` or a public primitive such as :func:`factor`;
+:func:`dagger`, :func:`fro` and :func:`spectral_norm` take arrays as given.
 """
 
 from __future__ import annotations
@@ -111,19 +113,21 @@ def shaped(signature: str, *mats) -> list:
     return out
 
 
-def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose; ``m`` is a 2-D complex128 ndarray, taken as given."""
+    return m.conj().T
 
 
-def fro(m) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(as_matrix(m)))
+def fro(m: np.ndarray) -> float:
+    """Frobenius norm; ``m`` is a 2-D complex128 ndarray, taken as given."""
+    return float(np.linalg.norm(m))
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value; 0.0 for empty or all-zero input, without a LAPACK call."""
-    m = as_matrix(m)
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value; 0.0 for empty or all-zero input, without a LAPACK call.
+
+    ``m`` is a 2-D complex128 ndarray, taken as given.
+    """
     return float(np.linalg.svd(m, compute_uv=False)[0]) if m.any() else 0.0
 
 
@@ -207,10 +211,10 @@ def factor(a, tol: ToleranceConfig = DEFAULT_TOL, anchor: float | None = None) -
 
 def svd(m) -> Factorization:
     """Thin SVD keeping every nonzero singular value: :func:`factor` with a zero cutoff."""
-    m = as_matrix(m)
-    if m.size == 0:
-        raise EmptyMatrix(f"cannot factor an empty matrix of shape {m.shape}")
-    return factor(m, anchor=0.0)
+    f = factor(m, anchor=0.0)
+    if f.a.size == 0:
+        raise EmptyMatrix(f"cannot factor an empty matrix of shape {f.a.shape}")
+    return f
 
 
 def pinv(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

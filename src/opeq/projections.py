@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionMismatch
-from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, as_matrix, factor, fro
+from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, factor, fro, shaped
 
 __all__ = [
     "ProjectionQuad",
@@ -18,6 +17,8 @@ __all__ = [
     "range_inclusion",
     "range_equal",
 ]
+
+INCLUSION_SIGNATURE = "C(m,n), A(m,p)"
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,10 @@ def inclusion(c, f: Factorization, tol: ToleranceConfig = DEFAULT_TOL,
     (say C N_B, which can cancel to roundoff dust whose self-relative
     residual is meaningless) pass the factor magnitude as ``scale`` so that
     ||c|| <= rank_rel * scale also counts as zero.
+
+    ``c`` is a 2-D complex128 ndarray with as many rows as ``f.a``, taken
+    as given; :func:`range_inclusion` is the checked entry point.
     """
-    c = as_matrix(c)
-    if c.shape[0] != f.a.shape[0]:
-        raise DimensionMismatch(
-            f"row counts differ: C is {c.shape}, A is {f.a.shape}"
-        )
     rank_data = {"rank_a": f.rank}
     norm_c = fro(c)
     if norm_c == 0.0 or (scale is not None and norm_c <= tol.rank_rel * scale):
@@ -88,7 +87,8 @@ def inclusion(c, f: Factorization, tol: ToleranceConfig = DEFAULT_TOL,
 
 def range_inclusion(c, a, tol: ToleranceConfig = DEFAULT_TOL,
                     scale: float | None = None) -> RangeDecision:
-    """Decide R(c) subset-of R(a); :func:`inclusion` on a fresh factorization of ``a``."""
+    """Check ``c`` and ``a``, then decide R(c) subset-of R(a) by :func:`inclusion` on a new factorization."""
+    c, a = shaped(INCLUSION_SIGNATURE, c, a)
     return inclusion(c, factor(a, tol), tol, scale)
 
 

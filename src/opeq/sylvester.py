@@ -140,40 +140,34 @@ def random_params(a, b, seed: int = 0):
 
 @dataclass(frozen=True)
 class SylvesterSolution:
+    """``params_used`` is the ``params`` passed to :func:`solve_ax_yb`, None for the particular pair."""
+
     x_p: np.ndarray
     y_p: np.ndarray
     x: np.ndarray
     y: np.ndarray
     residual: float
-    params_used: tuple
+    params_used: tuple | None
 
 
 def solve_ax_yb(a, b, c, params=None, tol: ToleranceConfig = DEFAULT_TOL) -> SylvesterSolution:
     """General solution x = x_p + x_h, y = y_p + y_h of A X + Y B = C.
 
-    ``params`` is the homogeneous triple (W1, W', W4); None selects zeros,
-    returning the particular pair itself.
+    ``params`` is the homogeneous triple (W1, W', W4); None returns the
+    particular pair itself.
     """
     a, b, c = shaped(SIGNATURE, a, b, c)
-    m, p = a.shape
-    q, n = b.shape
-    if params is None:
-        params = (
-            np.zeros((p, n), dtype=np.complex128),
-            np.zeros((p, q), dtype=np.complex128),
-            np.zeros((m, q), dtype=np.complex128),
-        )
-    w1, wprime, w4 = params
     fa, fb = factor(a, tol), factor(b, tol)
     x_p, y_p = _particular(fa, fb, c, tol)
-    x_h, y_h = _homogeneous(fa, fb, w1, wprime, w4)
-    x = x_p + x_h
-    y = y_p + y_h
+    x, y = x_p, y_p
+    if params is not None:
+        x_h, y_h = _homogeneous(fa, fb, *params)
+        x = x_p + x_h
+        y = y_p + y_h
     norm_c = fro(c)
     scale = norm_c if norm_c else max(fro(a) * fro(x) + fro(y) * fro(b), 1e-300)
     residual = fro(a @ x + y @ b - c) / scale
-    return SylvesterSolution(x_p=x_p, y_p=y_p, x=x, y=y, residual=residual,
-                             params_used=(w1, wprime, w4))
+    return SylvesterSolution(x_p=x_p, y_p=y_p, x=x, y=y, residual=residual, params_used=params)
 
 
 @dataclass(frozen=True)

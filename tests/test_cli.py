@@ -165,6 +165,20 @@ def test_missing_file_exit_1(capsys):
     assert run_command(["intersect", "--A", "/nonexistent.json", "--B", "/nonexistent.json"]) == 1
 
 
+def test_unwritable_out_exit_1(tmp_path, capsys):
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    code = run_command(["gen", "--family", "sylvester-solvable", "--seed", "0",
+                        "--out", str(blocker)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: FileExistsError: ")
+    files = save_instance(tmp_path, A=np.eye(2), C=np.eye(2))
+    code = run_command(["solve", "douglas", "--A", files["A"], "--C", files["C"],
+                        "--out", str(blocker / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: NotADirectoryError: ")
+
+
 def test_orthogonal_hypothesis_violation_exit_1(tmp_path, capsys):
     files = save_instance(tmp_path, A=np.eye(2), B=np.eye(2), C=np.eye(2))
     code = run_command(["solve", "orthogonal", "--A", files["A"], "--B", files["B"],
@@ -338,6 +352,13 @@ def test_solve_choices_are_the_equation_table():
         ops.setdefault("C", ops["A"])  # equal-range-pair: R(A) ^ R(B) = R(A) = R(C)
         solution, _ = harness.EQUATIONS[tag].solve(ops, ToleranceConfig(), None)
         assert harness.verify(tag, ops, solution).passed
+
+
+def test_diagnose_choices_are_the_table_entries_with_a_diagnosis():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    equation = next(a for a in sub.choices["diagnose"]._actions if a.dest == "equation")
+    with_diagnosis = [tag for tag, eq in harness.EQUATIONS.items() if eq.diagnose is not None]
+    assert equation.choices == with_diagnosis == ["sylvester", "congruence"]
 
 
 def assert_file_entry(entry, m):

@@ -1,15 +1,17 @@
-"""LAPACK SVD counts of the public entry points on seeded k=2 instances.
+"""LAPACK SVD and finiteness-scan counts of the public entry points on seeded k=2 instances.
 
 Each entry point factors each of its operands once and applies the
 projections and pseudoinverses through that factorization, so the number
 of SVDs it runs is fixed by its structure.  Both ``numpy.linalg.svd`` and
 the module-level name that ``np.linalg.norm(x, 2)`` calls are counted.
+Likewise each matrix is scanned for NaN/Inf only where it enters the
+package, so the number of ``np.isfinite`` calls is fixed too.
 """
 
 import numpy as np
 import pytest
 
-from opeq import DEFAULT_TOL
+from opeq import DEFAULT_TOL, as_matrix
 from opeq.harness import EQUATIONS, InstanceSpec, generate, verify
 
 try:
@@ -20,24 +22,35 @@ except ImportError:  # pragma: no cover
 SHAPE = (6, 5, 4, 3, 2)
 
 
-@pytest.fixture
-def svd_count(monkeypatch):
-    """Run a thunk and return how many SVDs it made."""
+def counter(monkeypatch, owners, name):
+    """Count calls to ``name`` on every module in ``owners``; returns count(thunk)."""
     calls = []
-    real = np.linalg.svd
+    real = getattr(owners[0], name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    monkeypatch.setattr(linalg_impl, "svd", counting)
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counting)
 
     def count(thunk):
         calls.clear()
         thunk()
         return len(calls)
     return count
+
+
+@pytest.fixture
+def svd_count(monkeypatch):
+    """Run a thunk and return how many SVDs it made."""
+    return counter(monkeypatch, (np.linalg, linalg_impl), "svd")
+
+
+@pytest.fixture
+def scan_count(monkeypatch):
+    """Run a thunk and return how many finiteness scans (``np.isfinite`` calls) it made."""
+    return counter(monkeypatch, (np,), "isfinite")
 
 
 # equation tag -> (generated family, SVD bound of the solver, SVD bound of verify).
@@ -83,3 +96,34 @@ def test_verify_factors_its_own_operands(svd_count, eq):
     ops = instance(family)
     sol = solve(eq, ops)
     assert 1 <= svd_count(lambda: verify(eq, ops, sol)) <= bound
+
+
+# equation tag -> (scan bound of the solver, scan bound of verify).  Each
+# bound is one scan per matrix the entry point is handed (its shape check)
+# plus one per matrix it passes to a public primitive that checks its own
+# input (factor, psd_sqrt); helpers such as fro, dagger and inclusion scan
+# nothing, so a helper that checks an intermediate again breaks the bound.
+SCAN_BOUNDS = {
+    "sylvester": (5, 7),
+    "orthogonal": (4, 6),
+    "congruence": (5, 7),
+    "douglas": (3, 4),
+    "congruence-cz": (11, 6),
+}
+
+
+def test_scan_counting_sees_as_matrix(scan_count):
+    assert scan_count(lambda: as_matrix(np.eye(3))) == 1
+
+
+@pytest.mark.parametrize("eq", list(SCAN_BOUNDS))
+def test_solver_scans_only_at_the_boundary(scan_count, eq):
+    ops = instance(BOUNDS[eq][0])
+    assert scan_count(lambda: solve(eq, ops)) <= SCAN_BOUNDS[eq][0]
+
+
+@pytest.mark.parametrize("eq", list(SCAN_BOUNDS))
+def test_verify_scans_only_at_the_boundary(scan_count, eq):
+    ops = instance(BOUNDS[eq][0])
+    sol = solve(eq, ops)
+    assert scan_count(lambda: verify(eq, ops, sol)) <= SCAN_BOUNDS[eq][1]

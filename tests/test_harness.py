@@ -281,3 +281,37 @@ def test_verify_rejects_mismatched_shapes(tag):
             check(one_more_row(ops, "C"), sol)
         with pytest.raises(DimensionMismatch, match=r"^X\("):
             check(ops, one_more_row(sol, "X"))
+
+
+def solved_instance(tag):
+    ops = generate(InstanceSpec(seed=3, family=SOLVABLE_FAMILY[tag]))
+    ops.setdefault("C", ops["A"])  # equal-range-pair: R(A) ^ R(B) = R(A) = R(C)
+    return ops, EQUATIONS[tag].solve(ops, DEFAULT_TOL, None)[0]
+
+
+def with_nan(mats, name):
+    m = mats[name].copy()
+    m[0, 0] = np.nan
+    return {**mats, name: m}
+
+
+@pytest.mark.parametrize("tag,name", [(tag, name) for tag, eq in EQUATIONS.items()
+                                      for name in eq.operands])
+def test_non_finite_operand_is_rejected_where_it_enters(tag, name):
+    ops, sol = solved_instance(tag)
+    bad = with_nan(ops, name)
+    eq = EQUATIONS[tag]
+    entries = [lambda: eq.solve(bad, DEFAULT_TOL, None), lambda: verify(tag, bad, sol)]
+    if eq.diagnose is not None:
+        entries.append(lambda: eq.diagnose(bad, DEFAULT_TOL))
+    for entry in entries:
+        with pytest.raises(InvalidMatrix):
+            entry()
+
+
+@pytest.mark.parametrize("tag,name", [(tag, name) for tag, eq in EQUATIONS.items()
+                                      for name in eq.unknowns])
+def test_non_finite_unknown_is_rejected_by_verify(tag, name):
+    ops, sol = solved_instance(tag)
+    with pytest.raises(InvalidMatrix):
+        verify(tag, ops, with_nan(sol, name))

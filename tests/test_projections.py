@@ -5,6 +5,7 @@ import pytest
 
 from opeq import (
     DimensionMismatch,
+    InvalidMatrix,
     numerical_rank,
     projection_quad,
     range_equal,
@@ -103,12 +104,18 @@ def test_range_inclusion_rank_data_corroborates():
 
 
 def test_range_inclusion_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"^A\(m,p\) is 2x2, but m = 3 from C$"):
         range_inclusion(np.eye(3), np.eye(2))
     with pytest.raises(DimensionMismatch, match=r"^B\(m,q\)"):
         range_intersection(np.eye(3), np.eye(2))
     with pytest.raises(DimensionMismatch, match=r"^C\(m,n\)"):
         solve_congruence_cz(np.eye(2), np.eye(2), np.eye(3))
+
+
+def test_range_inclusion_rejects_non_finite_and_ragged_c():
+    for bad in ([[1.0, np.nan], [0.0, 1.0]], [[1.0, 0.0], [0.0]]):
+        with pytest.raises(InvalidMatrix):
+            range_inclusion(bad, np.eye(2))
 
 
 def test_range_equal_examples():

@@ -113,6 +113,14 @@ def test_solve_worked_instance_zero_and_random_params():
     assert sol.residual <= 1e-12
 
 
+def test_solve_reports_the_params_it_was_given():
+    sol = solve_ax_yb(A2, B2, np.eye(2))
+    assert sol.params_used is None
+    assert sol.x is sol.x_p and sol.y is sol.y_p
+    params = random_params(A2, B2, seed=5)
+    assert solve_ax_yb(A2, B2, np.eye(2), params=params).params_used is params
+
+
 def test_solve_homogeneous_rhs():
     params = random_params(A2, B2, seed=6)
     sol = solve_ax_yb(A2, B2, np.zeros((2, 2)), params=params)

@@ -348,7 +348,7 @@ def run_command(argv) -> int:
         return EXIT_ERROR
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (OpeqError, ValueError, OSError) as exc:
+    except (OpeqError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

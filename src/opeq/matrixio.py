@@ -40,7 +40,8 @@ def obj_to_matrix(obj, where: str = "<memory>"):
     for key in ("rows", "cols"):
         if key not in obj:
             raise ParseError(f"{where}: missing field {key!r}")
-        if not isinstance(obj[key], int) or obj[key] < 0:
+        # type(), not isinstance(): JSON true is a bool, an int subclass, not a size.
+        if type(obj[key]) is not int or obj[key] < 0:
             raise ParseError(f"{where}: field {key!r} must be a nonnegative integer")
     rows, cols = obj["rows"], obj["cols"]
     data = obj.get("data")
@@ -50,7 +51,7 @@ def obj_to_matrix(obj, where: str = "<memory>"):
         raise ShapeError(f"{where}: data length {len(data)} != rows*cols = {rows * cols}")
     block_k = obj.get("block_k")
     if block_k is not None:
-        if not isinstance(block_k, int) or block_k < 1:
+        if type(block_k) is not int or block_k < 1:
             raise ParseError(f"{where}: field 'block_k' must be a positive integer")
         if rows % block_k or cols % block_k:
             raise ShapeError(f"{where}: block_k={block_k} does not divide {rows}x{cols}")

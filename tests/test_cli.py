@@ -79,6 +79,22 @@ def test_parse_errors(tmp_path):
             load_matrix(path)
 
 
+
+@pytest.mark.parametrize("fields", [{"rows": True, "cols": 1}, {"rows": 1, "cols": True},
+                                    {"rows": True, "cols": True},
+                                    {"rows": 1, "cols": 1, "block_k": True}])
+def test_boolean_sizes_are_parse_errors(tmp_path, fields):
+    path = write(tmp_path / "bool.json", {**fields, "data": [[1.0, 0.0]]})
+    with pytest.raises(ParseError, match="bool.json"):
+        load_matrix(path)
+
+
+def test_boolean_size_file_exit_1(tmp_path, capsys):
+    a = write(tmp_path / "A.json", {"rows": True, "cols": True, "data": [[1.0, 0.0]]})
+    c = write(tmp_path / "C.json", {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]})
+    assert run_command(["solve", "douglas", "--A", a, "--C", c]) == 1
+    assert capsys.readouterr().err.startswith("error: ParseError: ")
+
 def save_instance(tmp_path, **mats):
     paths = {}
     for name, m in mats.items():
@@ -178,6 +194,18 @@ def test_unwritable_out_exit_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: NotADirectoryError: ")
 
+
+
+def test_out_of_memory_exit_1(monkeypatch, capsys):
+    def exhausted(spec):
+        raise MemoryError("Unable to allocate 21.0 TiB")
+
+    # Stands in for an oversized --shape; nothing large is allocated.
+    monkeypatch.setattr(harness, "generate", exhausted)
+    code = run_command(["gen", "--family", "sylvester-solvable", "--seed", "0",
+                        "--shape", "6,5,4,3,200000"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: MemoryError: Unable to allocate 21.0 TiB\n"
 
 def test_orthogonal_hypothesis_violation_exit_1(tmp_path, capsys):
     files = save_instance(tmp_path, A=np.eye(2), B=np.eye(2), C=np.eye(2))

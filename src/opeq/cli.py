@@ -3,8 +3,9 @@
 Every command prints a structured report (JSON with ``--json``, aligned
 text otherwise) containing each residual and range decision relevant to
 the answer.  Exit codes: 0 the equation is solved or the property holds,
-2 the instance is diagnosed unsolvable (the certificate is still printed),
-1 usage or input errors.
+2 the instance is diagnosed unsolvable, that is a necessary condition
+fails (the certificate is still printed), 1 usage or input errors and
+violated solver hypotheses.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import congruence, harness
-from .exceptions import (
-    EmptyIntersection,
-    IntersectionNotInRangeC,
-    NotSolvable,
-    OpeqError,
-    RangeNotContained,
-)
+from .exceptions import NotSolvable, OpeqError
 from .kernel import DEFAULT_TOL, ToleranceConfig, factor, fro
 from .matrixio import load_matrix, matrix_to_obj, save_matrix
 from .projections import RangeDecision
@@ -280,53 +275,55 @@ def _cmd_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel,
-                        help="relative singular value cutoff for rank decisions")
-    common.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.residual_rel,
-                        help="relative residual below which an equation or inclusion is accepted")
-    common.add_argument("--json", action="store_true", help="print the report as JSON")
-    common.add_argument("--out", default=None, help="directory for solution matrix files")
-
     parser = _Parser(prog="opeq",
                      description="Certified solvers for operator equations over "
                                  "finite-dimensional Hilbert C*-modules.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("diagnose", parents=[common], help="solvability diagnosis with certificate")
+    def command(name, fn, summary, tols=True, out=False):
+        # Each subcommand takes only the flags it reads: every one prints a report,
+        # all but gen decide ranks, and solve, intersect and gen write matrix files.
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        p.add_argument("--json", action="store_true", help="print the report as JSON")
+        if tols:
+            p.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel,
+                           help="relative singular value cutoff for rank decisions")
+            p.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.residual_rel,
+                           help="relative residual below which an equation or inclusion is accepted")
+        if out:
+            p.add_argument("--out", default=None, help="directory for the matrix files written")
+        return p
+
+    p = command("diagnose", _cmd_diagnose, "solvability diagnosis with certificate")
     p.add_argument("equation", choices=[tag for tag, eq in harness.EQUATIONS.items() if eq.diagnose])
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
     p.add_argument("--C", required=True)
-    p.set_defaults(fn=_cmd_diagnose)
 
-    p = sub.add_parser("solve", parents=[common], help="solve one equation and certify the answer")
+    p = command("solve", _cmd_solve, "solve one equation and certify the answer", out=True)
     p.add_argument("equation", choices=list(harness.EQUATIONS))
     p.add_argument("--A", required=True)
     p.add_argument("--B", default=None)
     p.add_argument("--C", required=True)
     p.add_argument("--seed", type=int, default=None,
                    help="draw random homogeneous parameters (sylvester only)")
-    p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("intersect", parents=[common], help="range intersection with PSD blocks")
+    p = command("intersect", _cmd_intersect, "range intersection with PSD blocks", out=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
-    p.set_defaults(fn=_cmd_intersect)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a seeded instance family")
+    p = command("gen", _cmd_gen, "generate a seeded instance family", tols=False, out=True)
     p.add_argument("--family", required=True, choices=list(harness.FAMILIES))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--shape", default="6,5,4,3,1", help="m,n,p,q,k block dimensions")
     p.add_argument("--ranks", default=None, help="rank targets, e.g. A=3,B=2")
     p.add_argument("--lam", type=float, default=None,
                    help="scale factor for the scaled-equality family")
-    p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("demo", parents=[common], help="built-in demonstrations")
+    p = command("demo", _cmd_demo, "built-in demonstrations")
     p.add_argument("name", choices=["truncated-shift"])
     p.add_argument("--n", type=int, default=10)
-    p.set_defaults(fn=_cmd_demo)
 
     return parser
 
@@ -335,12 +332,11 @@ def run_command(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (NotSolvable, RangeNotContained, EmptyIntersection, IntersectionNotInRangeC) as exc:
+    except NotSolvable as exc:
         report = {"command": args.command, "status": "unsolvable",
                   "error": type(exc).__name__, "message": str(exc)}
-        detail = getattr(exc, "decision", None) or getattr(exc, "diagnosis", None)
-        if detail is not None:
-            report.update(_diagnosis_fields(detail))
+        if exc.diagnosis is not None:
+            report.update(_diagnosis_fields(exc.diagnosis))
         _emit(report, args.json)
         return EXIT_UNSOLVABLE
     except _UsageError as exc:

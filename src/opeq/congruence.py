@@ -65,6 +65,14 @@ class CongruenceDiagnosis:
     yhat_star: np.ndarray | None = field(default=None, repr=False)
     residual: float | None = None
 
+    @property
+    def status(self) -> str:
+        """``unsolvable`` if a criterion fails (they are necessary), ``inconclusive`` if
+        both hold but a hypothesis of their sufficiency fails, else ``solvable``."""
+        if not (self.cond_cnbstar_in_a.holds and self.cond_cstar_nastar_in_b.holds):
+            return "unsolvable"
+        return "solvable" if self.hypotheses_hold else "inconclusive"
+
 
 def diagnose_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> CongruenceDiagnosis:
     a, b, c = shaped(SIGNATURE, a, b, c)
@@ -128,25 +136,17 @@ def homogeneous_congruence(a, b, v1, v2, v3, tol: ToleranceConfig = DEFAULT_TOL)
 def solve_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     """Solve A X A* + B Y B* = C; returns (x, y, diagnosis).
 
-    Requires the three hypotheses of :class:`CongruenceDiagnosis` (else
-    :class:`HypothesisViolated`); solvability is decided by the two range
-    criteria (else :class:`NotSolvable`).  The construction runs through
-    x^ = pinv(A) C N_{B*} and y^* = pinv(B) C*, each lifted by one more
-    reduced solve; the intermediates stay on the diagnosis for audit.
+    Acts on the diagnosis's :attr:`~CongruenceDiagnosis.status`: a failing
+    range criterion raises :class:`NotSolvable`; criteria that hold while
+    one of the three hypotheses fails raise :class:`HypothesisViolated`.
+    The construction runs through x^ = pinv(A) C N_{B*} and
+    y^* = pinv(B) C*, each lifted by one more reduced solve; the
+    intermediates stay on the diagnosis for audit.
     """
     a, b, c = shaped(SIGNATURE, a, b, c)
     fa, fb = factor(a, tol), factor(b, tol)
     diag = _diagnose(fa, fb, c, tol)
-    if not diag.hypotheses_hold:
-        failing = []
-        if not diag.hyp_c_in_b.holds:
-            failing.append(f"R(C) in R(B) (residual {diag.hyp_c_in_b.residual:.3e})")
-        if not diag.hyp_cstar_in_a.holds:
-            failing.append(f"R(C*) in R(A) (residual {diag.hyp_cstar_in_a.residual:.3e})")
-        if len(failing) == 0:
-            failing.append(f"R(C* P_A) in N(B*) (||B* C* P_A|| = {diag.hyp_cstar_pa_in_nbstar:.3e})")
-        raise HypothesisViolated("hypothesis failed: " + "; ".join(failing))
-    if not diag.solvable:
+    if diag.status == "unsolvable":
         raise NotSolvable(
             "A X A* + B Y B* = C has no solution: "
             f"R(C N_B*) in R(A) holds = {diag.cond_cnbstar_in_a.holds} "
@@ -155,6 +155,14 @@ def solve_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
             f"(residual {diag.cond_cstar_nastar_in_b.residual:.3e})",
             diagnosis=diag,
         )
+    if diag.status == "inconclusive":
+        failing = [f"{name} (residual {dec.residual:.3e})"
+                   for name, dec in (("R(C) in R(B)", diag.hyp_c_in_b),
+                                     ("R(C*) in R(A)", diag.hyp_cstar_in_a))
+                   if not dec.holds]
+        if not failing:
+            failing.append(f"R(C* P_A) in N(B*) (||B* C* P_A|| = {diag.hyp_cstar_pa_in_nbstar:.3e})")
+        raise HypothesisViolated("hypothesis failed: " + "; ".join(failing))
     xhat = fa.pinv(fb.adjoint().right_n_a(c))
     yhat_star = fb.pinv(dagger(c))
     x = fa.adjoint().right_pinv(xhat)
@@ -284,7 +292,9 @@ class CzReport:
 def solve_congruence_cz(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     """Produce nonzero X, Y >= 0 and Z with A X A* + B Y B* = C Z.
 
-    Needs a nontrivial intersection R(A) intersect R(B) contained in R(C);
+    Its hypotheses, a nontrivial R(A) intersect R(B) contained in R(C), are
+    sufficient, not necessary: a failing one raises :class:`EmptyIntersection`
+    or :class:`IntersectionNotInRangeC`, both :class:`HypothesisViolated`.
     X and Y are the PSD blocks of the kernel projection, and Z is the
     reduced solution of C Z = A X A* + B Y B*.  The side condition
     P N(S) in N(S) is reported on the intersection certificate but not

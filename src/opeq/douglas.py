@@ -60,7 +60,7 @@ def _reduced_solution(fa: Factorization, c, tol) -> ReducedSolutionReport:
     if not decision.holds:
         raise RangeNotContained(
             f"R(C) is not contained in R(A): relative residual {decision.residual:.3e}",
-            decision=decision,
+            diagnosis=decision,
         )
     d = fa.pinv(c)
     norm_c = fro(c)

@@ -32,39 +32,34 @@ class DimensionMismatch(OpeqError):
     """Matrix shapes are incompatible with the requested operation."""
 
 
-class RangeNotContained(OpeqError):
-    """A range inclusion required for solvability fails.
-
-    Carries the failing RangeDecision in ``decision``.
-    """
-
-    def __init__(self, message, decision=None):
-        super().__init__(message)
-        self.decision = decision
-
-
 class HypothesisViolated(OpeqError):
-    """A verified hypothesis of the solver being invoked does not hold."""
+    """A hypothesis of the solver's construction fails; the equation may still be solvable."""
 
 
 class NotSolvable(OpeqError):
-    """The equation is diagnosed unsolvable; ``diagnosis`` has the details."""
+    """A necessary condition fails: the equation has no solution; ``diagnosis`` has the details."""
 
     def __init__(self, message, diagnosis=None):
         super().__init__(message)
         self.diagnosis = diagnosis
 
 
+class RangeNotContained(NotSolvable):
+    """R(C) is not in R(A): A X = C has no solution; ``diagnosis`` is the failing RangeDecision."""
+
+    decision = property(lambda self: self.diagnosis)
+
+
 class NotASolution(OpeqError):
     """A claimed solution does not satisfy its equation to tolerance."""
 
 
-class EmptyIntersection(OpeqError):
-    """R(A) and R(B) intersect trivially."""
+class EmptyIntersection(HypothesisViolated):
+    """R(A) and R(B) intersect trivially; the C Z construction needs them to meet."""
 
 
-class IntersectionNotInRangeC(OpeqError):
-    """R(A) and R(B) intersect outside R(C)."""
+class IntersectionNotInRangeC(HypothesisViolated):
+    """R(A) intersect R(B) is not contained in R(C), as the C Z construction needs."""
 
 
 class UnknownEquationTag(OpeqError):

@@ -413,14 +413,7 @@ def _diagnose_sylvester(ops, tol):
 
 def _diagnose_congruence(ops, tol):
     diag = congruence.diagnose_congruence(ops["A"], ops["B"], ops["C"], tol)
-    if diag.solvable:
-        status = "solvable"
-    elif diag.cond_cnbstar_in_a.holds and diag.cond_cstar_nastar_in_b.holds:
-        # The criteria hold, but a hypothesis of their sufficiency fails.
-        status = "inconclusive"
-    else:
-        status = "unsolvable"
-    return diag, {"status": status}
+    return diag, {"status": diag.status}
 
 
 @dataclass(frozen=True)

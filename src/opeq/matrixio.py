@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -61,6 +62,9 @@ def obj_to_matrix(obj, where: str = "<memory>"):
         raise ParseError(f"{where}: data has a ragged or non-numeric entry: {exc}") from exc
     if pairs.shape != (rows * cols, 2):
         raise ParseError(f"{where}: data entries must be [re, im] pairs")
+    # float64 conversion also takes true, false and numeric strings; JSON numbers load as int or float.
+    if not set(map(type, chain.from_iterable(data))) <= {int, float}:
+        raise ParseError(f"{where}: data has an entry that is not a JSON number")
     # null converts to NaN, so this check rejects it too.
     if not np.isfinite(pairs).all():
         raise ParseError(f"{where}: non-finite entry in data")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .exceptions import ContextMismatch
 from .kernel import as_matrix, fro, psd_sqrt, spectral_norm
+from .rng import Xoshiro256StarStar, complex_normal_matrix
 
 __all__ = [
     "ModuleContext",
@@ -135,20 +136,16 @@ def check_module_linearity(op: ModuleOperator, trials: int = 20, seed: int = 0,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     fn = apply_fn if apply_fn is not None else op.apply
-    rng = np.random.default_rng(seed)
+    rng = Xoshiro256StarStar(seed)
     k, n = op.domain.k, op.domain.n
     worst = 0.0
     scale = 0.0
     op_norm = spectral_norm(op.data)
     for _ in range(trials):
-        x = ModuleElement(op.domain, _crandn(rng, n * k, k))
-        a = _crandn(rng, k, k)
+        x = ModuleElement(op.domain, complex_normal_matrix(rng, n * k, k))
+        a = complex_normal_matrix(rng, k, k)
         left = fn(right_action(x, a)).data
         right = right_action(fn(x), a).data
         worst = max(worst, fro(left - right))
         scale = max(scale, op_norm * fro(x.data) * spectral_norm(a))
     return LinearityReport(max_deviation=worst, scale=scale, passed=worst <= 1e-12 * max(scale, 1.0))
-
-
-def _crandn(rng, rows, cols):
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))

@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from opeq import (ParseError, ShapeError, ToleranceConfig, harness, load_matrix, load_matrix_meta,
-                  save_matrix)
+from opeq import (HypothesisViolated, NotSolvable, ParseError, ShapeError, ToleranceConfig, harness,
+                  load_matrix, load_matrix_meta, save_matrix)
 from opeq.matrixio import matrix_to_obj
 from opeq.cli import (DEMO_MAX_N, build_parser, make_truncated_shift, run_command,
                       truncated_shift_demo)
@@ -72,8 +72,10 @@ def test_parse_errors(tmp_path):
     path = write(tmp_path / "rows.json", {"cols": 1, "data": [[1.0, 0.0]]})
     with pytest.raises(ParseError):
         load_matrix(path)
+    # float64 conversion alone would read true as 1.0 and "1.5" as 1.5.
     for name, pair in (("string", ["x", 0.0]), ("null", [None, 0.0]),
-                       ("triple", [1.0, 0.0, 0.0])):
+                       ("triple", [1.0, 0.0, 0.0]), ("boolean", [True, False]),
+                       ("mixed-boolean", [1.0, False]), ("numeric-string", ["1.5", 0.0])):
         path = write(tmp_path / f"{name}.json", {"rows": 1, "cols": 1, "data": [pair]})
         with pytest.raises(ParseError, match=f"{name}.json"):
             load_matrix(path)
@@ -177,6 +179,20 @@ def test_usage_error_exit_1(capsys):
     assert run_command([]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "sylvester", "--A", "A.json", "--B", "B.json", "--C", "C.json", "--out", "d"],
+    ["demo", "truncated-shift", "--out", "d"],
+    ["gen", "--family", "sylvester-solvable", "--seed", "0", "--tol-rank", "0.5"],
+    ["gen", "--family", "sylvester-solvable", "--seed", "0", "--tol-residual", "0.5"],
+])
+def test_unread_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    # Each subcommand takes only the flags it reads; the rest exit 1 unread.
+    monkeypatch.chdir(tmp_path)
+    assert run_command(argv) == 1
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: --")
+    assert not any(tmp_path.iterdir())
+
+
 def test_missing_file_exit_1(capsys):
     assert run_command(["intersect", "--A", "/nonexistent.json", "--B", "/nonexistent.json"]) == 1
 
@@ -273,11 +289,16 @@ def test_solve_orthogonal_and_cz_commands(tmp_path, capsys):
     assert code == 0
     assert report["intersection_dim"] == 1
     assert report["norms"]["z"] > 1e-10
+    # An empty R(A) ^ R(B) violates a hypothesis of the construction, which is
+    # sufficient, not necessary: X = Y = Z = I solves this instance.
     code = run_command(["solve", "congruence-cz", "--A", files["A"], "--B", files["B"],
                         "--C", files["EYE"], "--json"])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 2
-    assert report["error"] == "EmptyIntersection"
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: EmptyIntersection: ") and captured.out == ""
+    ops = {name: load_matrix(files[key]) for name, key in (("A", "A"), ("B", "B"), ("C", "EYE"))}
+    eye = np.eye(2, dtype=complex)
+    assert harness.verify("congruence-cz", ops, {"X": eye, "Y": eye, "Z": eye}).passed
 
 
 def test_gen_ranks_flag(tmp_path, capsys):
@@ -448,3 +469,64 @@ def test_intersect_out_reports_basis_file(tmp_path, capsys):
     assert inline["basis"] == matrix_to_obj(basis) and inline["files"] == {}
     assert set(report["files"]) == {"basis", "X", "Z", "Y"}
     assert report["dim"] == inline["dim"] == 1
+
+
+# (operands or generated family, equation, solve exit code, congruence status,
+#  a solution verify passes on an instance whose hypotheses fail)
+CONTRACT = {
+    "congruence-criteria-fail": (
+        {"A": np.diag([1.0, 0.0]), "B": np.diag([1.0, 0.0]), "C": np.diag([0.0, 1.0])},
+        "congruence", 2, "unsolvable", None),
+    "congruence-hypothesis-fails": (
+        {"A": np.diag([1.0, 0.0]), "B": np.diag([1.0, 0.0]), "C": np.diag([1.0, 0.0])},
+        "congruence", 1, "inconclusive", None),
+    "congruence-solvable": ("congruence-solvable", "congruence", 0, "solvable", None),
+    "congruence-criterion-violating": (
+        "congruence-criterion-violating", "congruence", 2, "unsolvable", None),
+    "cz-empty-intersection": (
+        {"A": np.diag([1.0, 0.0]), "B": np.diag([0.0, 1.0]), "C": np.eye(2)},
+        "congruence-cz", 1, None, {"X": np.eye(2), "Y": np.eye(2), "Z": np.eye(2)}),
+    "cz-intersection-outside-range-c": (
+        {"A": np.diag([1.0, 0.0]), "B": np.diag([1.0, 0.0]), "C": np.diag([0.0, 1.0])},
+        "congruence-cz", 1, None,
+        {"X": np.diag([0.0, 1.0]), "Y": np.diag([0.0, 1.0]), "Z": np.diag([1.0, 0.0])}),
+    "sylvester-unsolvable": ("sylvester-unsolvable", "sylvester", 2, None, None),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRACT))
+def test_exit_2_means_not_solvable(tmp_path, capsys, case):
+    source, tag, want_code, want_status, witness = CONTRACT[case]
+    if isinstance(source, str):
+        source = harness.generate(harness.InstanceSpec(seed=0, family=source))
+    eq = harness.EQUATIONS[tag]
+    ops = {name: np.asarray(source[name], dtype=complex) for name in eq.operands}
+    files = save_instance(tmp_path, **ops)
+    flags = [arg for name in eq.operands for arg in (f"--{name}", files[name])]
+
+    try:
+        eq.solve(ops, ToleranceConfig(), None)
+        raised = None
+    except (NotSolvable, HypothesisViolated) as exc:
+        raised = exc
+    code = run_command(["solve", tag, *flags, "--json"])
+    captured = capsys.readouterr()
+    assert code == want_code
+    assert (code == 2) == isinstance(raised, NotSolvable)
+    assert (code == 1) == isinstance(raised, HypothesisViolated)
+    if code == 2:
+        assert json.loads(captured.out)["status"] == "unsolvable"
+    if code == 1:
+        assert captured.err.startswith(f"error: {type(raised).__name__}: ")
+    if witness is not None:
+        assert harness.verify(tag, ops, witness).passed
+
+    if eq.diagnose is not None:
+        code = run_command(["diagnose", tag, *flags, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report.get("status") == want_status
+        assert code == (0 if report["solvable"] else 2)
+    if tag == "congruence":
+        expected = {"unsolvable": NotSolvable, "inconclusive": HypothesisViolated,
+                    "solvable": type(None)}
+        assert type(raised) is expected[want_status]

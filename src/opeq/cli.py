@@ -4,8 +4,8 @@ Every command prints a structured report (JSON with ``--json``, aligned
 text otherwise) containing each residual and range decision relevant to
 the answer.  Exit codes: 0 the equation is solved or the property holds,
 2 the instance is diagnosed unsolvable, that is a necessary condition
-fails (the certificate is still printed), 1 usage or input errors and
-violated solver hypotheses.
+fails (the certificate is still printed), 1 usage or input errors,
+violated solver hypotheses and failed certificates (printed first).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import congruence, harness
-from .exceptions import NotSolvable, OpeqError
+from .exceptions import NotASolution, NotSolvable, OpeqError
 from .kernel import DEFAULT_TOL, ToleranceConfig, factor, fro
 from .matrixio import load_matrix, matrix_to_obj, save_matrix
 from .projections import RangeDecision
@@ -198,7 +198,9 @@ def _cmd_solve(args) -> int:
         "files": _files(written),
     }
     _emit(report, args.json)
-    return EXIT_OK if cert.passed else EXIT_UNSOLVABLE
+    if not cert.passed:
+        raise NotASolution(f"{args.equation} certificate failed: {', '.join(cert.failures)}")
+    return EXIT_OK
 
 
 def _cmd_intersect(args) -> int:

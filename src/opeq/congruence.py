@@ -8,7 +8,7 @@ block row [A -B], whose ranges parameterize R(A) intersect R(B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .exceptions import (
     NotASolution,
     NotSolvable,
 )
-from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, psd_sqrt, shaped, spectral_norm
+from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, psd_sqrt, shaped
 from .projections import RangeDecision, inclusion
 
 __all__ = [
@@ -43,15 +43,14 @@ PARAMETER_SIGNATURE = "A(m,p), B(m,q), V1(q,p), V2(m,p), V3(q,m)"
 INTERSECTION_SIGNATURE = "A(m,p), B(m,q)"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CongruenceDiagnosis:
     """Hypotheses and solvability criteria for A X A* + B Y B* = C.
 
     Hypotheses: R(C) in R(B), R(C*) in R(A), and R(C* P_A) in N(B*), the
     last one measured by ``hyp_cstar_pa_in_nbstar`` = ||B* C* P_A||_F.
     Criteria (necessary and, under the hypotheses, sufficient):
-    R(C N_{B*}) in R(A) and R(C* N_{A*}) in R(B).  The intermediate reduced
-    solutions and the final residual are attached for audit after a solve.
+    R(C N_{B*}) in R(A) and R(C* N_{A*}) in R(B).
     """
 
     hyp_c_in_b: RangeDecision
@@ -61,9 +60,6 @@ class CongruenceDiagnosis:
     cond_cstar_nastar_in_b: RangeDecision
     hypotheses_hold: bool
     solvable: bool
-    xhat: np.ndarray | None = field(default=None, repr=False)
-    yhat_star: np.ndarray | None = field(default=None, repr=False)
-    residual: float | None = None
 
     @property
     def status(self) -> str:
@@ -140,8 +136,7 @@ def solve_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     range criterion raises :class:`NotSolvable`; criteria that hold while
     one of the three hypotheses fails raise :class:`HypothesisViolated`.
     The construction runs through x^ = pinv(A) C N_{B*} and
-    y^* = pinv(B) C*, each lifted by one more reduced solve; the
-    intermediates stay on the diagnosis for audit.
+    y^* = pinv(B) C*, each lifted by one more reduced solve.
     """
     a, b, c = shaped(SIGNATURE, a, b, c)
     fa, fb = factor(a, tol), factor(b, tol)
@@ -167,11 +162,6 @@ def solve_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     yhat_star = fb.pinv(dagger(c))
     x = fa.adjoint().right_pinv(xhat)
     y = dagger(fb.adjoint().right_pinv(yhat_star))
-    norm_c = fro(c)
-    residual = fro(a @ x @ dagger(a) + b @ y @ dagger(b) - c) / norm_c if norm_c else 0.0
-    diag.xhat = xhat
-    diag.yhat_star = yhat_star
-    diag.residual = residual
     return x, y, diag
 
 
@@ -280,11 +270,6 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
 
 @dataclass(frozen=True)
 class CzReport:
-    residual: float
-    x_norm: float
-    y_norm: float
-    z_norm: float
-    nonzero: bool
     intersection: IntersectionReport
     basis_in_range_c: RangeDecision
 
@@ -312,18 +297,5 @@ def solve_congruence_cz(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
         )
     x = rep.x_block
     y = rep.y_block
-    target = a @ x @ dagger(a) + b @ y @ dagger(b)
-    z = fc.pinv(target)
-    norm_t = fro(target)
-    residual = fro(c @ z - target) / norm_t if norm_t else 0.0
-    norms = (spectral_norm(x), spectral_norm(y), spectral_norm(z))
-    report = CzReport(
-        residual=residual,
-        x_norm=norms[0],
-        y_norm=norms[1],
-        z_norm=norms[2],
-        nonzero=all(v > 1e-10 for v in norms),
-        intersection=rep,
-        basis_in_range_c=basis_in_c,
-    )
-    return x, y, z, report
+    z = fc.pinv(a @ x @ dagger(a) + b @ y @ dagger(b))
+    return x, y, z, CzReport(intersection=rep, basis_in_range_c=basis_in_c)

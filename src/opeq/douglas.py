@@ -28,20 +28,17 @@ __all__ = [
 
 SIGNATURE = "A(m,p), C(m,n) -> X(p,n)"
 
+# Relative slack of a majorization certificate C C* <= lambda G: lambda is
+# inflated by it, and the relative min eigenvalue may fall to minus it.
+MAJORIZATION_SLACK = 1e-8
+
 
 @dataclass(frozen=True)
 class ReducedSolutionReport:
-    """Reduced solution D of A X = C with its certificate.
-
-    ``residual``           relative Frobenius norm of A D - C
-    ``reduced_certificate`` ||D - P_{A*} D||_F, zero when R(D) lies in the
-                            orthogonal complement of the kernel of A
-    ``lambda_factor``      ||D||_2^2, the least lambda with C C* <= lambda A A*
-    """
+    """Reduced solution ``d`` of A X = C and ``lambda_factor`` = ||d||_2^2, the least
+    lambda with C C* <= lambda A A*; :func:`opeq.harness.verify` certifies ``d``."""
 
     d: np.ndarray
-    residual: float
-    reduced_certificate: float
     lambda_factor: float
 
 
@@ -63,30 +60,24 @@ def _reduced_solution(fa: Factorization, c, tol) -> ReducedSolutionReport:
             diagnosis=decision,
         )
     d = fa.pinv(c)
-    norm_c = fro(c)
-    residual = fro(fa.a @ d - c) / norm_c if norm_c else 0.0
-    return ReducedSolutionReport(
-        d=d,
-        residual=residual,
-        reduced_certificate=fro(fa.adjoint().n_astar(d)),
-        lambda_factor=spectral_norm(d) ** 2,
-    )
+    return ReducedSolutionReport(d=d, lambda_factor=spectral_norm(d) ** 2)
 
 
 def douglas_factor(a, c, tol: ToleranceConfig = DEFAULT_TOL):
     """Least lambda with C C* <= lambda A A*, or None when A X = C is unsolvable.
 
-    The factor is ||pinv(A) C||_2^2; the PSD certificate
-    min-eig(lambda (1 + 1e-8) A A* - C C*) >= -1e-8 * ||A A*||_2 is checked
-    before returning (else :class:`ToleranceAnomaly`).
+    The factor is the reduced solution's ``lambda_factor``; the PSD certificate
+    min-eig(lambda (1 + s) A A* - C C*) >= -s ||A A*||_2, s = MAJORIZATION_SLACK,
+    is checked before returning (else :class:`ToleranceAnomaly`).
     """
     a, c = shaped(SIGNATURE, a, c)
     fa = factor(a, tol)
-    if not inclusion(c, fa, tol).holds:
+    try:
+        lam = _reduced_solution(fa, c, tol).lambda_factor
+    except RangeNotContained:
         return None
-    lam = spectral_norm(fa.pinv(c)) ** 2
     gap = majorization_gap(lam, a @ dagger(a), c, fa.norm ** 2)
-    if gap < -1e-8:
+    if gap < -MAJORIZATION_SLACK:
         raise ToleranceAnomaly(
             f"majorization certificate failed: relative min eigenvalue {gap:.3e} at lambda={lam:.6e}"
         )
@@ -94,11 +85,11 @@ def douglas_factor(a, c, tol: ToleranceConfig = DEFAULT_TOL):
 
 
 def majorization_gap(lam: float, gram, c, gram_norm: float) -> float:
-    """Negative part of min-eig(lam (1 + 1e-8) G - C C*), relative to ``gram_norm`` = ||G||_2.
+    """Negative part of min-eig(lam (1 + s) G - C C*) over ``gram_norm`` = ||G||_2, s = MAJORIZATION_SLACK.
 
-    Zero certifies C C* <= lam (1 + 1e-8) G; the certificates accept down to -1e-8.
+    Zero certifies C C* <= lam (1 + s) G; the certificates accept down to -s.
     """
-    gap = float(np.linalg.eigvalsh(lam * (1.0 + 1e-8) * gram - c @ dagger(c))[0])
+    gap = float(np.linalg.eigvalsh(lam * (1.0 + MAJORIZATION_SLACK) * gram - c @ dagger(c))[0])
     return min(gap, 0.0) / max(gram_norm, 1e-300)
 
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import congruence, douglas, sylvester
-from .douglas import majorization_gap
+from .douglas import MAJORIZATION_SLACK, majorization_gap
 from .exceptions import InfeasibleSpec, MissingMatrix, ToleranceAnomaly, UnknownEquationTag
 from .kernel import DEFAULT_TOL, ToleranceConfig, dagger, factor, fro, parse_signature, shaped, spectral_norm
 from .projections import inclusion
@@ -34,6 +34,12 @@ __all__ = [
 
 SIGMA_MIN = 1e-2
 SIGMA_MAX = 1.0
+
+# verify's fixed thresholds besides ToleranceConfig and MAJORIZATION_SLACK: a defect that is
+# zero in exact arithmetic (reducedness, A* B, the Hermitian and PSD defects of X and Y) passes
+# up to ZERO_REL relative to its operand; an unknown is nonzero when its ||.||_2 > NONZERO_NORM.
+ZERO_REL = 1e-10
+NONZERO_NORM = 1e-10
 
 
 @dataclass(frozen=True)
@@ -293,8 +299,8 @@ def _verify_douglas(a, c, x, sol, tol):
     decisions = {"range_c_in_a": inclusion(c, fa, tol)}
     return residuals, decisions, _failures({
         "equation": residuals["equation"] > tol.residual_rel,
-        "reducedness": residuals["reducedness"] > 1e-10,
-        "majorization_gap": residuals["majorization_gap"] < -1e-8,
+        "reducedness": residuals["reducedness"] > ZERO_REL,
+        "majorization_gap": residuals["majorization_gap"] < -MAJORIZATION_SLACK,
     }, decisions)
 
 
@@ -322,8 +328,8 @@ def _verify_orthogonal(a, b, c, x, y, sol, tol):
     decisions = {"range_c_in_ab": inclusion(c, fab, tol)}
     return residuals, decisions, _failures({
         "equation": residuals["equation"] > tol.residual_rel,
-        "orthogonality": residuals["orthogonality"] > 1e-10,
-        "majorization_gap": residuals["majorization_gap"] < -1e-8,
+        "orthogonality": residuals["orthogonality"] > ZERO_REL,
+        "majorization_gap": residuals["majorization_gap"] < -MAJORIZATION_SLACK,
     }, decisions)
 
 
@@ -348,42 +354,35 @@ def _verify_congruence_cz(a, b, c, x, y, z, sol, tol):
     lhs = a @ x @ dagger(a) + b @ y @ dagger(b)
     scale = max(fro(lhs), fro(c @ z), 1e-300)
     residuals = {"equation": fro(lhs - c @ z) / scale}
-    failures = []
-    if residuals["equation"] > tol.residual_rel:
-        failures.append("equation")
+    failed = {"equation": residuals["equation"] > tol.residual_rel}
     norms = {name: spectral_norm(block) for name, block in (("x", x), ("y", y), ("z", z))}
     for name, block in (("x", x), ("y", y)):
         herm = fro(block - dagger(block)) / max(fro(block), 1e-300)
         mineig = float(np.linalg.eigvalsh((block + dagger(block)) / 2.0)[0])
         residuals[f"{name}_psd_gap"] = min(mineig, 0.0) / max(norms[name], 1e-300)
         residuals[f"{name}_hermitian_defect"] = herm
-        if herm > 1e-10 or residuals[f"{name}_psd_gap"] < -1e-10:
-            failures.append(f"{name}_psd")
+        failed[f"{name}_psd"] = herm > ZERO_REL or residuals[f"{name}_psd_gap"] < -ZERO_REL
     for name, norm in norms.items():
         residuals[f"{name}_norm"] = norm
-        if norm <= 1e-10:
-            failures.append(f"{name}_nonzero")
-    return residuals, {}, failures
+        failed[f"{name}_nonzero"] = norm <= NONZERO_NORM
+    return residuals, {}, _failures(failed, {})
 
 
-# Solve adapters: (operators, tol, seed) -> (solution for verify, report fields);
-# diagnose adapters: (operators, tol) -> (diagnosis, report fields).
-# Each calls its solver through the module at call time, so a wrapper
+# Solve adapters: (operators, tol, seed) -> (solution for verify, the report fields
+# verify does not compute); diagnose adapters: (operators, tol) -> (diagnosis, report
+# fields).  Each calls its solver through the module at call time, so a wrapper
 # installed on the module attribute (as the benchmark's tracer does) sees it.
 
 def _solve_douglas(ops, tol, seed):
     rep = douglas.reduced_solution(ops["A"], ops["C"], tol)
-    return {"X": rep.d}, {
-        "residuals": {"residual": rep.residual, "reduced_certificate": rep.reduced_certificate},
-        "lambda_factor": rep.lambda_factor,
-    }
+    return {"X": rep.d}, {"lambda_factor": rep.lambda_factor}
 
 
 def _solve_sylvester(ops, tol, seed):
     a, b, c = ops["A"], ops["B"], ops["C"]
     params = sylvester.random_params(a, b, seed) if seed is not None else None
     sol = sylvester.solve_ax_yb(a, b, c, params=params, tol=tol)
-    return {"X": sol.x, "Y": sol.y}, {"residuals": {"residual": sol.residual}}
+    return {"X": sol.x, "Y": sol.y}, {}
 
 
 def _solve_orthogonal(ops, tol, seed):
@@ -392,16 +391,14 @@ def _solve_orthogonal(ops, tol, seed):
 
 
 def _solve_congruence(ops, tol, seed):
-    x, y, diag = congruence.solve_congruence(ops["A"], ops["B"], ops["C"], tol)
-    return {"X": x, "Y": y}, {"residuals": {
-        "residual": diag.residual, "hyp_cstar_pa_in_nbstar": diag.hyp_cstar_pa_in_nbstar}}
+    x, y, _ = congruence.solve_congruence(ops["A"], ops["B"], ops["C"], tol)
+    return {"X": x, "Y": y}, {}
 
 
 def _solve_congruence_cz(ops, tol, seed):
     x, y, z, rep = congruence.solve_congruence_cz(ops["A"], ops["B"], ops["C"], tol)
     return {"X": x, "Y": y, "Z": z}, {
-        "residuals": {"residual": rep.residual, "pn_s_residual": rep.intersection.pn_s_residual},
-        "norms": {"x": rep.x_norm, "y": rep.y_norm, "z": rep.z_norm},
+        "residuals": {"pn_s_residual": rep.intersection.pn_s_residual},
         "intersection_dim": rep.intersection.dim,
         "decisions": {"basis_in_range_c": asdict(rep.basis_in_range_c)},
     }
@@ -422,9 +419,9 @@ class Equation:
 
     ``operands`` and ``unknowns`` are the signature's names (see
     :func:`~opeq.kernel.shaped`).  ``solve(operators, tol, seed)`` returns the
-    solution dict that :func:`verify` reads (its unknowns are the solution
-    files) and the solver's report fields; ``seed``, where used, draws the
-    free parameters.  ``verify`` takes the checked matrices, the solution and tol.
+    solution dict that :func:`verify` reads (its unknowns are the solution files)
+    and the report fields :func:`verify` does not compute; ``seed``, where used,
+    draws the free parameters.  ``verify`` takes the checked matrices, the solution and tol.
     ``diagnose(operators, tol)``, None for an equation without a separate
     diagnosis, returns the diagnosis and the report fields that precede it.
     """

@@ -146,7 +146,6 @@ class SylvesterSolution:
     y_p: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    residual: float
     params_used: tuple | None
 
 
@@ -164,10 +163,7 @@ def solve_ax_yb(a, b, c, params=None, tol: ToleranceConfig = DEFAULT_TOL) -> Syl
         x_h, y_h = _homogeneous(fa, fb, *params)
         x = x_p + x_h
         y = y_p + y_h
-    norm_c = fro(c)
-    scale = norm_c if norm_c else max(fro(a) * fro(x) + fro(y) * fro(b), 1e-300)
-    residual = fro(a @ x + y @ b - c) / scale
-    return SylvesterSolution(x_p=x_p, y_p=y_p, x=x, y=y, residual=residual, params_used=params)
+    return SylvesterSolution(x_p=x_p, y_p=y_p, x=x, y=y, params_used=params)
 
 
 @dataclass(frozen=True)
@@ -217,18 +213,19 @@ def solve_ax_by_orthogonal(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     """
     a, b, c = shaped(ORTHOGONAL_SIGNATURE, a, b, c)
     p = a.shape[1]
-    defect = fro(dagger(a) @ b)
-    bound = 1e-10 * spectral_norm(a) * spectral_norm(b)
-    if defect > bound:
-        raise HypothesisViolated(
-            f"A* B != 0: defect {defect:.3e} exceeds bound {bound:.3e}"
-        )
+    # R(C) in R(A) + R(B) is necessary whatever A* B is, so it is decided first.
     ft = factor(np.hstack([a, b]), tol)
     decision = inclusion(c, ft, tol)
     if not decision.holds:
         raise NotSolvable(
             f"R(C) is not contained in R(A) + R(B): residual {decision.residual:.3e}",
             diagnosis=decision,
+        )
+    defect = fro(dagger(a) @ b)
+    bound = 1e-10 * spectral_norm(a) * spectral_norm(b)
+    if defect > bound:
+        raise HypothesisViolated(
+            f"A* B != 0: defect {defect:.3e} exceeds bound {bound:.3e}"
         )
     d = ft.pinv(c)
     x = d[:p]

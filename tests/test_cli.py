@@ -1,6 +1,7 @@
 """Tests of the matrix file format and the command line interface."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from opeq import (HypothesisViolated, NotSolvable, ParseError, ShapeError, ToleranceConfig, harness,
-                  load_matrix, load_matrix_meta, save_matrix)
+                  load_matrix, load_matrix_meta, save_matrix, sylvester)
 from opeq.matrixio import matrix_to_obj
 from opeq.cli import (DEMO_MAX_N, build_parser, make_truncated_shift, run_command,
                       truncated_shift_demo)
@@ -113,7 +114,7 @@ def test_solve_sylvester_exit_codes(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["certificate"]["passed"]
-    assert report["residuals"]["residual"] <= 1e-12
+    assert report["certificate"]["residuals"]["equation"] <= 1e-12
 
 
 def test_diagnose_sylvester_unsolvable_exit_2(tmp_path, capsys):
@@ -162,7 +163,7 @@ def test_solve_congruence_worked(tmp_path, capsys):
                         "--C", files["C"], "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert report["residuals"]["residual"] <= 1e-12
+    assert report["certificate"]["residuals"]["equation"] <= 1e-12
 
 
 def test_intersect_identity(tmp_path, capsys):
@@ -230,6 +231,27 @@ def test_orthogonal_hypothesis_violation_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_failed_certificate_exits_1_not_2(tmp_path, capsys, monkeypatch):
+    # The solve adapter looks its solver up at call time, so a wrong answer
+    # reaches verify: the report is printed and the command fails with exit 1.
+    real = sylvester.solve_ax_yb
+
+    def wrong(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        return dataclasses.replace(sol, x=sol.x + 1.0)
+
+    monkeypatch.setattr(sylvester, "solve_ax_yb", wrong)
+    files = save_instance(tmp_path, A=np.diag([1.0, 0.0]), B=np.diag([0.0, 1.0]), C=np.eye(2))
+    code = run_command(["solve", "sylvester", "--A", files["A"], "--B", files["B"],
+                        "--C", files["C"], "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: NotASolution: ")
+    report = json.loads(captured.out)
+    assert report["certificate"]["passed"] is False
+    assert report["certificate"]["failures"] == ["equation"]
+
+
 def test_gen_is_byte_identical_across_runs(tmp_path, capsys):
     for sub in ("one", "two"):
         code = run_command(["gen", "--family", "sylvester-solvable", "--seed", "42",
@@ -288,7 +310,7 @@ def test_solve_orthogonal_and_cz_commands(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["intersection_dim"] == 1
-    assert report["norms"]["z"] > 1e-10
+    assert report["certificate"]["residuals"]["z_norm"] > 1e-10
     # An empty R(A) ^ R(B) violates a hypothesis of the construction, which is
     # sufficient, not necessary: X = Y = Z = I solves this instance.
     code = run_command(["solve", "congruence-cz", "--A", files["A"], "--B", files["B"],
@@ -403,6 +425,21 @@ def test_solve_choices_are_the_equation_table():
         assert harness.verify(tag, ops, solution).passed
 
 
+@pytest.mark.parametrize("tag", list(harness.EQUATIONS))
+def test_solve_report_fields_leave_measurement_to_verify(tag):
+    ops = harness.generate(harness.InstanceSpec(seed=2, family=SOLVABLE_FAMILY[tag]))
+    ops.setdefault("C", ops["A"])
+    solution, fields = harness.EQUATIONS[tag].solve(ops, ToleranceConfig(), None)
+    measured = set(harness.verify(tag, ops, solution).residuals)
+    keys = set(fields).union(*(v for v in fields.values() if isinstance(v, dict)))
+    assert not keys & measured
+    assert "norms" not in fields
+    # A copy of a certificate number can hide under another name (say "residual"
+    # for "equation"), so pin the fields to what the solvers construct.
+    assert keys <= {"lambda_factor", "intersection_dim", "residuals", "pn_s_residual",
+                    "decisions", "basis_in_range_c"}
+
+
 def test_diagnose_choices_are_the_table_entries_with_a_diagnosis():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     equation = next(a for a in sub.choices["diagnose"]._actions if a.dest == "equation")
@@ -491,6 +528,10 @@ CONTRACT = {
         "congruence-cz", 1, None,
         {"X": np.diag([0.0, 1.0]), "Y": np.diag([0.0, 1.0]), "Z": np.diag([1.0, 0.0])}),
     "sylvester-unsolvable": ("sylvester-unsolvable", "sylvester", 2, None, None),
+    # R(C) outside R(A) + R(B) is necessary whatever A* B is, so it wins over A* B != 0.
+    "orthogonal-both-fail": (
+        {"A": np.diag([1.0, 0.0]), "B": np.diag([1.0, 0.0]), "C": np.diag([0.0, 1.0])},
+        "orthogonal", 2, None, None),
 }
 
 

@@ -18,7 +18,7 @@ from opeq import (
     solve_congruence,
     solve_congruence_cz,
 )
-from opeq.harness import InstanceSpec, generate, ranked_matrix
+from opeq.harness import InstanceSpec, generate, ranked_matrix, verify
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 # worked 2x2 solvable instance: hypotheses and criteria all pass
@@ -37,13 +37,15 @@ def test_solve_worked_instance():
     x, y, diag = solve_congruence(A_OK, B_OK, C_OK)
     assert np.linalg.norm(x) <= 1e-14
     np.testing.assert_allclose(y, C_OK, atol=1e-14)
-    assert diag.residual <= 1e-14
+    ops = {"A": A_OK, "B": B_OK, "C": C_OK}
+    assert verify("congruence", ops, {"X": x, "Y": y}).residuals["equation"] <= 1e-14
 
 
 def test_solve_zero_rhs():
     x, y, diag = solve_congruence(A_OK, B_OK, np.zeros((2, 2)))
     assert not x.any() and not y.any()
-    assert diag.residual == 0.0
+    ops = {"A": A_OK, "B": B_OK, "C": np.zeros((2, 2))}
+    assert verify("congruence", ops, {"X": x, "Y": y}).residuals["equation"] == 0.0
 
 
 def test_solve_worked_violating_instance():
@@ -66,7 +68,7 @@ def test_generated_solvable_family():
         out = generate(InstanceSpec(seed=seed, family="congruence-solvable"))
         a, b, c = out["A"], out["B"], out["C"]
         x, y, diag = solve_congruence(a, b, c)
-        assert diag.residual <= 1e-8
+        assert verify("congruence", out, {"X": x, "Y": y}).residuals["equation"] <= 1e-8
         assert solvability_necessity_check(a, b, c, x, y).passed
 
 
@@ -194,7 +196,11 @@ def test_cz_worked_instance():
     np.testing.assert_allclose(z, np.diag([1.0, 0.0]), atol=1e-12)
     target = a @ x @ a.conj().T + a @ y @ a.conj().T
     np.testing.assert_allclose(target, np.diag([1.0, 0.0]), atol=1e-12)
-    assert rep.residual <= 1e-12 and rep.nonzero
+    res = verify("congruence-cz", {"A": a, "B": a, "C": np.eye(2)}, {"X": x, "Y": y, "Z": z}).residuals
+    # relative to max(||A X A* + B Y B*||, ||C Z||): 1e-13 implies the former
+    # 1e-12 relative to ||A X A* + B Y B*||
+    assert res["equation"] <= 1e-13
+    assert min(res["x_norm"], res["y_norm"], res["z_norm"]) > 1e-10
 
 
 def test_cz_identity_everything():
@@ -202,7 +208,9 @@ def test_cz_identity_everything():
     np.testing.assert_allclose(x, 0.5 * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(y, 0.5 * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(z, np.eye(2), atol=1e-12)
-    assert rep.nonzero
+    eye = np.eye(2)
+    res = verify("congruence-cz", {"A": eye, "B": eye, "C": eye}, {"X": x, "Y": y, "Z": z}).residuals
+    assert min(res["x_norm"], res["y_norm"], res["z_norm"]) > 1e-10
 
 
 def test_cz_empty_intersection():

@@ -16,7 +16,7 @@ from opeq import (
     reduced_solution,
     solve_scaled_equality,
 )
-from opeq.harness import ranked_matrix, random_unitary
+from opeq.harness import ranked_matrix, random_unitary, verify
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 
@@ -24,14 +24,16 @@ def test_reduced_solution_identity_operator():
     c = np.array([[1.0, 2.0], [3.0, 4.0]])
     rep = reduced_solution(np.eye(2), c)
     np.testing.assert_allclose(rep.d, c, atol=1e-14)
-    assert rep.residual <= 1e-14
+    assert verify("douglas", {"A": np.eye(2), "C": c}, {"X": rep.d}).residuals["equation"] <= 1e-14
 
 
 def test_reduced_solution_diagonal_case():
-    rep = reduced_solution(np.diag([1.0, 0.0]), np.diag([0.7, 0.0]))
+    ops = {"A": np.diag([1.0, 0.0]), "C": np.diag([0.7, 0.0])}
+    rep = reduced_solution(ops["A"], ops["C"])
     np.testing.assert_allclose(rep.d, np.diag([0.7, 0.0]), atol=1e-14)
     np.testing.assert_allclose(rep.lambda_factor, 0.49, atol=1e-14)
-    assert rep.reduced_certificate <= 1e-14
+    # relative to ||D|| = 0.7, so tighter than the same bound on the absolute defect
+    assert verify("douglas", ops, {"X": rep.d}).residuals["reducedness"] <= 1e-14
 
 
 def test_reduced_solution_range_not_contained():
@@ -105,7 +107,7 @@ def test_solve_scaled_equality_unitary_rotation():
     u = random_unitary(rng, 4)
     c = 2.0 * a @ u
     rep = solve_scaled_equality(a, c, 4.0)
-    assert rep.residual <= 1e-10
+    assert verify("douglas", {"A": a, "C": c}, {"X": rep.d}).residuals["equation"] <= 1e-10
     assert np.linalg.norm(a @ rep.d - c) <= 1e-10 * np.linalg.norm(c)
 
 

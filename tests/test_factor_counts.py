@@ -62,7 +62,7 @@ BOUNDS = {
     "orthogonal": ("orthogonal-pair", 4, 3),
     "congruence": ("congruence-solvable", 2, 2),
     "douglas": ("scaled-equality-pair", 2, 2),
-    "congruence-cz": ("equal-range-pair", 8, 3),
+    "congruence-cz": ("equal-range-pair", 5, 3),
 }
 
 

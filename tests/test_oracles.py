@@ -19,7 +19,7 @@ from opeq import (
     NotSolvable,
     RangeNotContained,
 )
-from opeq.harness import ranked_matrix
+from opeq.harness import ranked_matrix, verify
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 
@@ -66,7 +66,7 @@ def test_reduced_solution_refusals_match_lstsq():
         try:
             rep = reduced_solution(a, c)
             assert oracle <= 1e-8, f"solver accepted, oracle residual {oracle:.2e}"
-            assert rep.residual <= 1e-8
+            assert verify("douglas", {"A": a, "C": c}, {"X": rep.d}).residuals["equation"] <= 1e-8
         except RangeNotContained:
             assert oracle > 1e-6, f"solver refused, oracle residual {oracle:.2e}"
 
@@ -98,7 +98,9 @@ def test_sylvester_generic_instances_match_lstsq():
         oracle_solvable = lstsq_residual(design, rhs) <= 1e-8
         assert diagnose_ax_yb(a, b, c).solvable == oracle_solvable
         if oracle_solvable:
-            assert solve_ax_yb(a, b, c).residual <= 1e-8
+            sol = solve_ax_yb(a, b, c)
+            cert = verify("sylvester", {"A": a, "B": b, "C": c}, {"X": sol.x, "Y": sol.y})
+            assert cert.residuals["equation"] <= 1e-8
 
 
 def test_congruence_verdicts_match_lstsq():
@@ -107,7 +109,7 @@ def test_congruence_verdicts_match_lstsq():
         design, rhs = congruence_system(out["A"], out["B"], out["C"])
         assert lstsq_residual(design, rhs) <= 1e-8
         x, y, diag = solve_congruence(out["A"], out["B"], out["C"])
-        assert diag.residual <= 1e-8
+        assert verify("congruence", out, {"X": x, "Y": y}).residuals["equation"] <= 1e-8
         out = generate(InstanceSpec(seed=530 + seed, family="congruence-criterion-violating"))
         design, rhs = congruence_system(out["A"], out["B"], out["C"])
         assert lstsq_residual(design, rhs) > 1e-3

@@ -18,7 +18,7 @@ from opeq import (
     solve_ax_by_orthogonal,
     solve_ax_yb,
 )
-from opeq.harness import InstanceSpec, generate, ranked_matrix
+from opeq.harness import InstanceSpec, generate, ranked_matrix, verify
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 A2 = np.diag([1.0, 0.0])
@@ -106,11 +106,12 @@ def test_homogeneous_shape_validation():
 
 
 def test_solve_worked_instance_zero_and_random_params():
+    ops = {"A": A2, "B": B2, "C": np.eye(2)}
     sol = solve_ax_yb(A2, B2, np.eye(2))
-    assert sol.residual <= 1e-14
+    assert verify("sylvester", ops, {"X": sol.x, "Y": sol.y}).residuals["equation"] <= 1e-14
     np.testing.assert_allclose(sol.x, sol.x_p)
     sol = solve_ax_yb(A2, B2, np.eye(2), params=random_params(A2, B2, seed=5))
-    assert sol.residual <= 1e-12
+    assert verify("sylvester", ops, {"X": sol.x, "Y": sol.y}).residuals["equation"] <= 1e-12
 
 
 def test_solve_reports_the_params_it_was_given():

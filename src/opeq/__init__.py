@@ -4,19 +4,16 @@ Covers A X = C (reduced solution and majorization factor), A X + Y B = C
 (diagnosis, particular and general solutions), A X + B Y = C under
 A* B = 0, the congruence equations A X A* + B Y B* = 0 / = C, range
 intersections through kernel projections, and A X A* + B Y B* = C Z.
-Every answer ships with a machine-checkable certificate of residuals and
-range decisions.
+Every answer ships with a machine-checkable certificate of residuals.
 """
 
 from .congruence import (
     CongruenceDiagnosis,
     CzReport,
     IntersectionReport,
-    NecessityReport,
     diagnose_congruence,
     homogeneous_congruence,
     range_intersection,
-    solvability_necessity_check,
     solve_congruence,
     solve_congruence_cz,
 )
@@ -47,7 +44,8 @@ from .exceptions import (
     ToleranceAnomaly,
     UnknownEquationTag,
 )
-from .harness import Certificate, InstanceSpec, generate, random_unitary, ranked_matrix, verify
+from .harness import (Certificate, CompletenessReport, InstanceSpec, NecessityReport, completeness_witness,
+                      generate, random_unitary, ranked_matrix, solvability_necessity_check, verify)
 from .kernel import (
     DEFAULT_TOL,
     Factorization,
@@ -81,10 +79,8 @@ from .projections import (
 )
 from .rng import Xoshiro256StarStar, complex_normal_matrix
 from .sylvester import (
-    CompletenessReport,
     SylvesterDiagnosis,
     SylvesterSolution,
-    completeness_witness,
     diagnose_ax_yb,
     homogeneous_ax_yb,
     particular_ax_yb,

@@ -16,7 +16,6 @@ from .exceptions import (
     EmptyIntersection,
     HypothesisViolated,
     IntersectionNotInRangeC,
-    NotASolution,
     NotSolvable,
 )
 from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, psd_sqrt, shaped
@@ -24,13 +23,11 @@ from .projections import RangeDecision, inclusion
 
 __all__ = [
     "CongruenceDiagnosis",
-    "NecessityReport",
     "IntersectionReport",
     "CzReport",
     "diagnose_congruence",
     "homogeneous_congruence",
     "solve_congruence",
-    "solvability_necessity_check",
     "range_intersection",
     "solve_congruence_cz",
 ]
@@ -163,32 +160,6 @@ def solve_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     x = fa.adjoint().right_pinv(xhat)
     y = dagger(fb.adjoint().right_pinv(yhat_star))
     return x, y, diag
-
-
-@dataclass(frozen=True)
-class NecessityReport:
-    cnbstar_in_a: RangeDecision
-    cstar_nastar_in_b: RangeDecision
-    passed: bool
-
-
-def solvability_necessity_check(a, b, c, x, y, tol: ToleranceConfig = DEFAULT_TOL) -> NecessityReport:
-    """Confirm the two range criteria on a known solution of the congruence.
-
-    Multiplying the solved equation by N_{B*} on the right (and its adjoint
-    by N_{A*}) forces R(C N_{B*}) in R(A) and R(C* N_{A*}) in R(B), with no
-    hypotheses; this checks that necessity on a concrete (x, y).
-    """
-    a, b, c, x, y = shaped(SIGNATURE, a, b, c, x, y)
-    defect = fro(a @ x @ dagger(a) + b @ y @ dagger(b) - c)
-    scale = max(fro(c), fro(a) ** 2 * fro(x) + fro(b) ** 2 * fro(y), 1e-300)
-    if defect > tol.residual_rel * scale:
-        raise NotASolution(
-            f"(x, y) does not solve A X A* + B Y B* = C: residual {defect:.3e}"
-        )
-    inc1, inc2 = _criteria(factor(a, tol), factor(b, tol), c, tol)
-    return NecessityReport(cnbstar_in_a=inc1, cstar_nastar_in_b=inc2,
-                           passed=inc1.holds and inc2.holds)
 
 
 @dataclass(frozen=True)

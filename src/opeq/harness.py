@@ -1,4 +1,4 @@
-"""Seeded instance generation with prescribed range structure, plus verification.
+"""Seeded instance generation with prescribed range structure, plus verification of solutions.
 
 Each family reverse-engineers the hypotheses of one solver so that the
 produced operators satisfy (or decisively violate) them by construction.
@@ -15,9 +15,10 @@ import numpy as np
 
 from . import congruence, douglas, sylvester
 from .douglas import MAJORIZATION_SLACK, majorization_gap
-from .exceptions import InfeasibleSpec, MissingMatrix, ToleranceAnomaly, UnknownEquationTag
-from .kernel import DEFAULT_TOL, ToleranceConfig, dagger, factor, fro, parse_signature, shaped, spectral_norm
-from .projections import inclusion
+from .exceptions import InfeasibleSpec, MissingMatrix, NotASolution, ToleranceAnomaly, UnknownEquationTag
+from .kernel import (DEFAULT_TOL, ZERO_REL, ToleranceConfig, dagger, factor, fro, parse_signature, shaped,
+                     spectral_norm)
+from .projections import RangeDecision
 from .rng import Xoshiro256StarStar, complex_normal_matrix
 
 __all__ = [
@@ -28,6 +29,10 @@ __all__ = [
     "EQUATIONS",
     "generate",
     "verify",
+    "CompletenessReport",
+    "completeness_witness",
+    "NecessityReport",
+    "solvability_necessity_check",
     "random_unitary",
     "ranked_matrix",
 ]
@@ -35,11 +40,13 @@ __all__ = [
 SIGMA_MIN = 1e-2
 SIGMA_MAX = 1.0
 
-# verify's fixed thresholds besides ToleranceConfig and MAJORIZATION_SLACK: a defect that is
-# zero in exact arithmetic (reducedness, A* B, the Hermitian and PSD defects of X and Y) passes
-# up to ZERO_REL relative to its operand; an unknown is nonzero when its ||.||_2 > NONZERO_NORM.
-ZERO_REL = 1e-10
+# verify's fixed thresholds besides ToleranceConfig, ZERO_REL and MAJORIZATION_SLACK: an
+# unknown is nonzero when its ||.||_2 > NONZERO_NORM.
 NONZERO_NORM = 1e-10
+
+# Decomposition components the homogeneous parameterization cannot produce
+# must vanish for any true solution; see completeness_witness.
+WITNESS_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -246,25 +253,27 @@ FAMILIES = tuple(_BUILDERS)
 
 @dataclass(frozen=True)
 class Certificate:
-    """Recomputed residuals and range decisions for one equation instance."""
+    """Recomputed residuals of one solution: its equation's and its own defining properties."""
 
     equation: str
     residuals: dict
-    decisions: dict
     passed: bool
     failures: tuple = ()
 
 
 def verify(equation: str, operators: dict, solution: dict,
            tol: ToleranceConfig = DEFAULT_TOL) -> Certificate:
-    """Recompute the defining residual and side conditions for a solution.
+    """Recompute the defining residual of a solution and the properties the answer must have.
 
     Known tags, the keys of :data:`EQUATIONS`: ``douglas`` (A X = C, X
-    reduced), ``sylvester`` (A X + Y B = C), ``orthogonal`` (A X + B Y = C
-    under A* B = 0), ``congruence`` (A X A* + B Y B* = C) and
-    ``congruence-cz`` (A X A* + B Y B* = C Z with X, Y PSD, all nonzero).
-    Operands and unknowns are checked against the equation's shape signature
-    first; :class:`MissingMatrix` names every one absent from the dicts.
+    reduced), ``sylvester`` (A X + Y B = C), ``orthogonal`` (A X + B Y = C),
+    ``congruence`` (A X A* + B Y B* = C) and ``congruence-cz``
+    (A X A* + B Y B* = C Z with X, Y PSD, all nonzero).  Only the answer is
+    certified: solvability criteria and the hypotheses of a construction
+    are properties of the instance, decided by the diagnoses and enforced
+    by the solvers, and no check here depends on them.  Operands and
+    unknowns are checked against the equation's shape signature first;
+    :class:`MissingMatrix` names every one absent from the dicts.
     """
     tag = equation.strip().lower()
     if tag not in EQUATIONS:
@@ -276,18 +285,12 @@ def verify(equation: str, operators: dict, solution: dict,
         raise MissingMatrix(f"{tag}: missing {', '.join(missing)}")
     mats = shaped(eq.signature, *(operators[name] for name in eq.operands),
                   *(solution[name] for name in eq.unknowns))
-    residuals, decisions, failures = eq.verify(*mats, solution, tol)
-    return Certificate(equation=tag, residuals=residuals, decisions=decisions,
-                       passed=not failures, failures=tuple(failures))
+    residuals, failed = eq.verify(*mats, tol)
+    failures = tuple(name for name, bad in failed.items() if bad)
+    return Certificate(equation=tag, residuals=residuals, passed=not failures, failures=failures)
 
 
-def _failures(failed: dict, decisions: dict) -> list:
-    """Names of the failed residual checks, then of the decisions that do not hold."""
-    return [name for name, bad in failed.items() if bad] + [
-        name for name, dec in decisions.items() if not dec.holds]
-
-
-def _verify_douglas(a, c, x, sol, tol):
+def _verify_douglas(a, c, x, tol):
     fa = factor(a, tol)
     lam = spectral_norm(x) ** 2
     residuals = {
@@ -296,61 +299,40 @@ def _verify_douglas(a, c, x, sol, tol):
         "lambda": lam,
         "majorization_gap": majorization_gap(lam, a @ dagger(a), c, fa.norm ** 2),
     }
-    decisions = {"range_c_in_a": inclusion(c, fa, tol)}
-    return residuals, decisions, _failures({
+    return residuals, {
         "equation": residuals["equation"] > tol.residual_rel,
         "reducedness": residuals["reducedness"] > ZERO_REL,
         "majorization_gap": residuals["majorization_gap"] < -MAJORIZATION_SLACK,
-    }, decisions)
-
-
-def _verify_sylvester(a, b, c, x, y, sol, tol):
-    diag = sylvester._diagnose(factor(a, tol), factor(b, tol), c, tol)
-    residuals = {
-        "equation": fro(a @ x + y @ b - c) / max(fro(c), 1e-300),
-        "classical": diag.classical_residual / max(fro(c), 1e-300),
     }
-    decisions = {"cond_range_cnb": diag.cond_range_cnb, "cond_range_pbc": diag.cond_range_pbc}
-    return residuals, decisions, _failures(
-        {name: value > tol.residual_rel for name, value in residuals.items()}, decisions)
 
 
-def _verify_orthogonal(a, b, c, x, y, sol, tol):
-    lam = float(sol["lam"]) if "lam" in sol else spectral_norm(np.vstack([x, y])) ** 2
-    # ||A A* + B B*||_2 = ||[A B]||_2^2
-    fab = factor(np.hstack([a, b]), tol)
+def _verify_sylvester(a, b, c, x, y, tol):
+    residual = fro(a @ x + y @ b - c) / max(fro(c), 1e-300)
+    return {"equation": residual}, {"equation": residual > tol.residual_rel}
+
+
+def _verify_orthogonal(a, b, c, x, y, tol):
+    # C = [A B] [X; Y] gives C C* <= lam (A A* + B B*) for lam = ||[X; Y]||_2^2,
+    # and ||A A* + B B*||_2 = ||[A B]||_2^2.
+    lam = spectral_norm(np.vstack([x, y])) ** 2
     residuals = {
         "equation": fro(a @ x + b @ y - c) / max(fro(c), 1e-300),
-        "orthogonality": fro(dagger(a) @ b) / max(spectral_norm(a) * spectral_norm(b), 1e-300),
         "lambda": lam,
-        "majorization_gap": majorization_gap(lam, a @ dagger(a) + b @ dagger(b), c, fab.norm ** 2),
+        "majorization_gap": majorization_gap(lam, a @ dagger(a) + b @ dagger(b), c,
+                                             spectral_norm(np.hstack([a, b])) ** 2),
     }
-    decisions = {"range_c_in_ab": inclusion(c, fab, tol)}
-    return residuals, decisions, _failures({
+    return residuals, {
         "equation": residuals["equation"] > tol.residual_rel,
-        "orthogonality": residuals["orthogonality"] > ZERO_REL,
         "majorization_gap": residuals["majorization_gap"] < -MAJORIZATION_SLACK,
-    }, decisions)
-
-
-def _verify_congruence(a, b, c, x, y, sol, tol):
-    fb = factor(b, tol)
-    diag = congruence._diagnose(factor(a, tol), fb, c, tol)
-    residuals = {
-        "equation": fro(a @ x @ dagger(a) + b @ y @ dagger(b) - c) / max(fro(c), 1e-300),
-        "hyp_cstar_pa_in_nbstar": diag.hyp_cstar_pa_in_nbstar / max(fb.norm * fro(c), 1e-300),
     }
-    decisions = {
-        "hyp_c_in_b": diag.hyp_c_in_b,
-        "hyp_cstar_in_a": diag.hyp_cstar_in_a,
-        "cond_cnbstar_in_a": diag.cond_cnbstar_in_a,
-        "cond_cstar_nastar_in_b": diag.cond_cstar_nastar_in_b,
-    }
-    return residuals, decisions, _failures(
-        {name: value > tol.residual_rel for name, value in residuals.items()}, decisions)
 
 
-def _verify_congruence_cz(a, b, c, x, y, z, sol, tol):
+def _verify_congruence(a, b, c, x, y, tol):
+    residual = fro(a @ x @ dagger(a) + b @ y @ dagger(b) - c) / max(fro(c), 1e-300)
+    return {"equation": residual}, {"equation": residual > tol.residual_rel}
+
+
+def _verify_congruence_cz(a, b, c, x, y, z, tol):
     lhs = a @ x @ dagger(a) + b @ y @ dagger(b)
     scale = max(fro(lhs), fro(c @ z), 1e-300)
     residuals = {"equation": fro(lhs - c @ z) / scale}
@@ -365,7 +347,66 @@ def _verify_congruence_cz(a, b, c, x, y, z, sol, tol):
     for name, norm in norms.items():
         residuals[f"{name}_norm"] = norm
         failed[f"{name}_nonzero"] = norm <= NONZERO_NORM
-    return residuals, {}, _failures(failed, {})
+    return residuals, failed
+
+
+@dataclass(frozen=True)
+class CompletenessReport:
+    x_witness: float
+    y_witness: float
+    scale: float
+    passed: bool
+
+
+def completeness_witness(a, b, c, x0, y0, tol: ToleranceConfig = DEFAULT_TOL) -> CompletenessReport:
+    """Check that a known solution (x0, y0) of A X + Y B = C fits the parameterized family.
+
+    Any solution differs from the particular pair by a homogeneous pair, so
+    the components P_{A*} (x0 - x_p) N_B and N_{A*} (y0 - y_p) P_B, which no
+    parameter choice can produce, must vanish.  A pair that :func:`verify`
+    does not certify raises :class:`NotASolution`.
+    """
+    a, b, c, x0, y0 = shaped(sylvester.SIGNATURE, a, b, c, x0, y0)
+    cert = verify("sylvester", {"A": a, "B": b, "C": c}, {"X": x0, "Y": y0}, tol)
+    if not cert.passed:
+        raise NotASolution(f"(x0, y0) does not solve A X + Y B = C: {', '.join(cert.failures)} failed")
+    fa, fb = factor(a, tol), factor(b, tol)
+    x_p, y_p = sylvester._particular(fa, fb, c, tol)
+    dx = x0 - x_p
+    dy = y0 - y_p
+    x_wit = fro(fa.adjoint().p_a(fb.right_n_a(dx)))
+    y_wit = fro(fa.n_astar(fb.adjoint().right_p_astar(dy)))
+    scale = max(fro(dx), fro(dy), 1e-300)
+    return CompletenessReport(
+        x_witness=x_wit,
+        y_witness=y_wit,
+        scale=scale,
+        passed=x_wit <= WITNESS_REL * scale and y_wit <= WITNESS_REL * scale,
+    )
+
+
+@dataclass(frozen=True)
+class NecessityReport:
+    cnbstar_in_a: RangeDecision
+    cstar_nastar_in_b: RangeDecision
+    passed: bool
+
+
+def solvability_necessity_check(a, b, c, x, y, tol: ToleranceConfig = DEFAULT_TOL) -> NecessityReport:
+    """Confirm the two range criteria of A X A* + B Y B* = C on a known solution.
+
+    Multiplying the solved equation by N_{B*} on the right (and its adjoint
+    by N_{A*}) forces R(C N_{B*}) in R(A) and R(C* N_{A*}) in R(B), with no
+    hypotheses; this checks that necessity on a concrete (x, y).  A pair
+    that :func:`verify` does not certify raises :class:`NotASolution`.
+    """
+    a, b, c, x, y = shaped(congruence.SIGNATURE, a, b, c, x, y)
+    cert = verify("congruence", {"A": a, "B": b, "C": c}, {"X": x, "Y": y}, tol)
+    if not cert.passed:
+        raise NotASolution(f"(x, y) does not solve A X A* + B Y B* = C: {', '.join(cert.failures)} failed")
+    inc1, inc2 = congruence._criteria(factor(a, tol), factor(b, tol), c, tol)
+    return NecessityReport(cnbstar_in_a=inc1, cstar_nastar_in_b=inc2,
+                           passed=inc1.holds and inc2.holds)
 
 
 # Solve adapters: (operators, tol, seed) -> (solution for verify, the report fields
@@ -387,7 +428,7 @@ def _solve_sylvester(ops, tol, seed):
 
 def _solve_orthogonal(ops, tol, seed):
     x, y, lam = sylvester.solve_ax_by_orthogonal(ops["A"], ops["B"], ops["C"], tol)
-    return {"X": x, "Y": y, "lam": lam}, {"lambda_factor": lam}
+    return {"X": x, "Y": y}, {"lambda_factor": lam}
 
 
 def _solve_congruence(ops, tol, seed):
@@ -421,7 +462,8 @@ class Equation:
     :func:`~opeq.kernel.shaped`).  ``solve(operators, tol, seed)`` returns the
     solution dict that :func:`verify` reads (its unknowns are the solution files)
     and the report fields :func:`verify` does not compute; ``seed``, where used,
-    draws the free parameters.  ``verify`` takes the checked matrices, the solution and tol.
+    draws the free parameters.  ``verify`` takes the checked operands, unknowns and
+    tol, and returns the residuals of the answer and, per check, whether it failed.
     ``diagnose(operators, tol)``, None for an equation without a separate
     diagnosis, returns the diagnosis and the report fields that precede it.
     """

@@ -21,6 +21,7 @@ from .exceptions import DimensionMismatch, EmptyMatrix, InvalidMatrix, NotPSD
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
+    "ZERO_REL",
     "Factorization",
     "as_matrix",
     "parse_signature",
@@ -58,6 +59,11 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+# The fixed threshold besides ToleranceConfig: a defect that is zero in exact arithmetic
+# (A* B in the orthogonal solver; reducedness and the Hermitian and PSD defects of X and Y
+# in verify) passes up to ZERO_REL relative to its operand.
+ZERO_REL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:

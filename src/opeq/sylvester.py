@@ -12,27 +12,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import HypothesisViolated, NotASolution, NotSolvable
-from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, shaped, spectral_norm
+from .exceptions import HypothesisViolated, NotSolvable
+from .kernel import (DEFAULT_TOL, ZERO_REL, Factorization, ToleranceConfig, dagger, factor, fro, shaped,
+                     spectral_norm)
 from .projections import RangeDecision, inclusion
 from .rng import Xoshiro256StarStar, complex_normal_matrix
 
 __all__ = [
     "SylvesterDiagnosis",
     "SylvesterSolution",
-    "CompletenessReport",
     "diagnose_ax_yb",
     "particular_ax_yb",
     "homogeneous_ax_yb",
     "random_params",
     "solve_ax_yb",
-    "completeness_witness",
     "solve_ax_by_orthogonal",
 ]
-
-# Decomposition components the homogeneous parameterization cannot produce
-# must vanish for any true solution; see completeness_witness.
-WITNESS_REL = 1e-8
 
 SIGNATURE = "A(m,p), B(q,n), C(m,n) -> X(p,n), Y(m,q)"
 # The free parameters of the homogeneous pair, after the operands they go with.
@@ -166,43 +161,6 @@ def solve_ax_yb(a, b, c, params=None, tol: ToleranceConfig = DEFAULT_TOL) -> Syl
     return SylvesterSolution(x_p=x_p, y_p=y_p, x=x, y=y, params_used=params)
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    x_witness: float
-    y_witness: float
-    scale: float
-    passed: bool
-
-
-def completeness_witness(a, b, c, x0, y0, tol: ToleranceConfig = DEFAULT_TOL) -> CompletenessReport:
-    """Check that a known solution (x0, y0) fits the parameterized family.
-
-    Any solution differs from the particular pair by a homogeneous pair, so
-    the components P_{A*} (x0 - x_p) N_B and N_{A*} (y0 - y_p) P_B, which no
-    parameter choice can produce, must vanish.
-    """
-    a, b, c, x0, y0 = shaped(SIGNATURE, a, b, c, x0, y0)
-    defect = fro(a @ x0 + y0 @ b - c)
-    scale0 = max(fro(c), fro(a) * fro(x0) + fro(y0) * fro(b), 1e-300)
-    if defect > tol.residual_rel * scale0:
-        raise NotASolution(
-            f"(x0, y0) does not solve A X + Y B = C: residual {defect:.3e} vs scale {scale0:.3e}"
-        )
-    fa, fb = factor(a, tol), factor(b, tol)
-    x_p, y_p = _particular(fa, fb, c, tol)
-    dx = x0 - x_p
-    dy = y0 - y_p
-    x_wit = fro(fa.adjoint().p_a(fb.right_n_a(dx)))
-    y_wit = fro(fa.n_astar(fb.adjoint().right_p_astar(dy)))
-    scale = max(fro(dx), fro(dy), 1e-300)
-    return CompletenessReport(
-        x_witness=x_wit,
-        y_witness=y_wit,
-        scale=scale,
-        passed=x_wit <= WITNESS_REL * scale and y_wit <= WITNESS_REL * scale,
-    )
-
-
 def solve_ax_by_orthogonal(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     """Solve A X + B Y = C under the verified hypothesis A* B = 0.
 
@@ -222,7 +180,7 @@ def solve_ax_by_orthogonal(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
             diagnosis=decision,
         )
     defect = fro(dagger(a) @ b)
-    bound = 1e-10 * spectral_norm(a) * spectral_norm(b)
+    bound = ZERO_REL * spectral_norm(a) * spectral_norm(b)
     if defect > bound:
         raise HypothesisViolated(
             f"A* B != 0: defect {defect:.3e} exceeds bound {bound:.3e}"

@@ -10,6 +10,7 @@ from opeq import (
     InstanceSpec,
     InvalidMatrix,
     MissingMatrix,
+    NotASolution,
     OpeqError,
     UnknownEquationTag,
     completeness_witness,
@@ -315,3 +316,49 @@ def test_non_finite_unknown_is_rejected_by_verify(tag, name):
     ops, sol = solved_instance(tag)
     with pytest.raises(InvalidMatrix):
         verify(tag, ops, with_nan(sol, name))
+
+
+# Every residual key of each equation's certificate: the defining equation and
+# the answer's own properties, none of the instance's criteria or hypotheses.
+RESIDUAL_KEYS = {
+    "douglas": {"equation", "reducedness", "lambda", "majorization_gap"},
+    "sylvester": {"equation"},
+    "orthogonal": {"equation", "lambda", "majorization_gap"},
+    "congruence": {"equation"},
+    "congruence-cz": {"equation", "x_psd_gap", "x_hermitian_defect", "y_psd_gap",
+                      "y_hermitian_defect", "x_norm", "y_norm", "z_norm"},
+}
+
+
+@pytest.mark.parametrize("tag", list(EQUATIONS))
+def test_certificate_holds_only_the_answers_residuals(tag):
+    ops, sol = solved_instance(tag)
+    cert = verify(tag, ops, sol)
+    assert cert.passed and set(cert.residuals) == RESIDUAL_KEYS[tag]
+    assert set(vars(cert)) == {"equation", "residuals", "passed", "failures"}
+
+
+def test_verify_passes_a_solution_where_a_hypothesis_fails():
+    # A = B = C = I breaks the hypothesis R(C* P_A) in N(B*) of solve_congruence,
+    # which is sufficient only; X = I, Y = 0 solves the equation all the same.
+    eye = np.eye(2)
+    cert = verify("congruence", {"A": eye, "B": eye, "C": eye}, {"X": eye, "Y": np.zeros((2, 2))})
+    assert cert.passed and cert.residuals["equation"] == 0.0
+
+
+def test_verify_measures_the_orthogonal_lambda():
+    ops = {"A": np.diag([1.0, 0.0]), "B": np.diag([0.0, 1.0]), "C": np.eye(2)}
+    sol = {"X": np.diag([1.0, 0.0]), "Y": np.diag([0.0, 1.0]), "lam": 1e6}
+    assert verify("orthogonal", ops, sol).residuals["lambda"] == pytest.approx(1.0, rel=1e-14)
+
+
+def test_known_solution_checks_take_verify_verdict():
+    # At C = 0 any residual is relative to ||C|| = 0, so 1e-9 I is no solution.
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    y_near = (-1.0 + 1e-9) * eye
+    assert not verify("sylvester", {"A": eye, "B": eye, "C": zero}, {"X": eye, "Y": y_near}).passed
+    with pytest.raises(NotASolution, match="equation failed"):
+        completeness_witness(eye, eye, zero, eye, y_near)
+    assert not verify("congruence", {"A": eye, "B": eye, "C": zero}, {"X": eye, "Y": y_near}).passed
+    with pytest.raises(NotASolution, match="equation failed"):
+        solvability_necessity_check(eye, eye, zero, eye, y_near)

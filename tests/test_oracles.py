@@ -59,16 +59,21 @@ def test_reduced_solution_matches_lstsq_minimum_norm():
 
 def test_reduced_solution_refusals_match_lstsq():
     rng = Xoshiro256StarStar(303)
-    for _ in range(30):
+    branches = set()
+    for i in range(30):
         a = ranked_matrix(rng, 5, 4, 1 + rng.next_u64() % 3)
-        c = complex_normal_matrix(rng, 5, 2)
+        # Every other C is drawn inside R(A), so both verdicts are exercised.
+        c = a @ complex_normal_matrix(rng, 4, 2) if i % 2 else complex_normal_matrix(rng, 5, 2)
         oracle = lstsq_residual(a, c)
         try:
             rep = reduced_solution(a, c)
             assert oracle <= 1e-8, f"solver accepted, oracle residual {oracle:.2e}"
             assert verify("douglas", {"A": a, "C": c}, {"X": rep.d}).residuals["equation"] <= 1e-8
+            branches.add("accepted")
         except RangeNotContained:
             assert oracle > 1e-6, f"solver refused, oracle residual {oracle:.2e}"
+            branches.add("refused")
+    assert branches == {"accepted", "refused"}
 
 
 def test_sylvester_verdicts_match_lstsq():

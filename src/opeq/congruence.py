@@ -189,29 +189,36 @@ class IntersectionReport:
     sqrt_range_in_basis: RangeDecision
 
 
+def _kernel_projection(a, b, tol):
+    """Factors of T = [A -B] and A, the Hermitian P = N_T, and the factored span [A X, A Z*]."""
+    p = a.shape[1]
+    ft = factor(np.hstack([a, -b]), tol)
+    proj = ft.right_n_a(np.eye(p + b.shape[1], dtype=np.complex128))
+    proj = (proj + proj.conj().T) / 2.0
+    fa = factor(a, tol)
+    # The span's cutoff is anchored to ||A|| rather than to the span itself:
+    # when the intersection is trivial the span is pure roundoff and must
+    # not be promoted to rank one by a self-relative threshold.
+    fspan = factor(np.hstack([a @ proj[:p, :p], a @ proj[:p, p:]]), tol, anchor=fa.norm)
+    return ft, fa, proj, fspan
+
+
 def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> IntersectionReport:
     """Compute R(A) intersect R(B) together with its PSD block certificate.
 
     P = N_T = I - pinv(T) T projects onto N(T) for the live block row T = [A -B];
     its diagonal blocks X, Y are PSD and satisfy A X = B Z, A Z* = B Y, and
-    the intersection equals R(A X) + R(A Z*).  The dimension is
-    cross-checked against rank A + rank B - rank [A B].
+    the intersection equals R(A X) + R(A Z*).  This certificate, which the C Z solver
+    does not run, checks the dimension against rank A + rank B - rank [A B] and the
+    span against R((A A* : B B*)^{1/2}) (Fillmore & Williams, Adv. Math. 7, 1971).
     """
     a, b = shaped(INTERSECTION_SIGNATURE, a, b)
     p, q = a.shape[1], b.shape[1]
-    ft = factor(np.hstack([a, -b]), tol)
-    proj = ft.right_n_a(np.eye(p + q, dtype=np.complex128))
-    proj = (proj + proj.conj().T) / 2.0
+    ft, fa, proj, fspan = _kernel_projection(a, b, tol)
     x_block = proj[:p, :p]
     zstar = proj[:p, p:]
     z_block = proj[p:, :p]
     y_block = proj[p:, p:]
-
-    fa = factor(a, tol)
-    # The span's cutoff is anchored to ||A|| rather than to the span itself:
-    # when the intersection is trivial the span is pure roundoff and must
-    # not be promoted to rank one by a self-relative threshold.
-    fspan = factor(np.hstack([a @ x_block, a @ zstar]), tol, anchor=fa.norm)
 
     # S = [A B] = T diag(I, -I): the same spectrum, with the B rows of v negated.
     sign = np.concatenate([np.ones(p), -np.ones(q)])
@@ -241,7 +248,9 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
 
 @dataclass(frozen=True)
 class CzReport:
-    intersection: IntersectionReport
+    """The C Z solver's decisions: dim R(A) intersect R(B) and its inclusion in R(C)."""
+
+    intersection_dim: int
     basis_in_range_c: RangeDecision
 
 
@@ -252,21 +261,22 @@ def solve_congruence_cz(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     sufficient, not necessary: a failing one raises :class:`EmptyIntersection`
     or :class:`IntersectionNotInRangeC`, both :class:`HypothesisViolated`.
     X and Y are the PSD blocks of the kernel projection, and Z is the
-    reduced solution of C Z = A X A* + B Y B*.  The side condition
-    P N(S) in N(S) is reported on the intersection certificate but not
-    enforced; in finite dimensions the construction stands without it.
+    reduced solution of C Z = A X A* + B Y B*.  Only that construction runs:
+    the side condition P N(S) in N(S), which it does not need in finite
+    dimensions, is part of :func:`range_intersection`'s certificate.
     """
     a, b, c = shaped(CZ_SIGNATURE, a, b, c)
-    rep = range_intersection(a, b, tol)
-    if rep.dim == 0:
+    p = a.shape[1]
+    proj, fspan = _kernel_projection(a, b, tol)[2:]
+    if fspan.rank == 0:
         raise EmptyIntersection("R(A) and R(B) intersect only in 0")
     fc = factor(c, tol)
-    basis_in_c = inclusion(rep.basis, fc, tol)
+    basis_in_c = inclusion(fspan.u, fc, tol)
     if not basis_in_c.holds:
         raise IntersectionNotInRangeC(
             f"R(A) intersect R(B) is not contained in R(C): residual {basis_in_c.residual:.3e}"
         )
-    x = rep.x_block
-    y = rep.y_block
+    x = proj[:p, :p]
+    y = proj[p:, p:]
     z = fc.pinv(a @ x @ dagger(a) + b @ y @ dagger(b))
-    return x, y, z, CzReport(intersection=rep, basis_in_range_c=basis_in_c)
+    return x, y, z, CzReport(intersection_dim=fspan.rank, basis_in_range_c=basis_in_c)

@@ -56,7 +56,7 @@ def _reduced_solution(fa: Factorization, c, tol) -> ReducedSolutionReport:
     decision = inclusion(c, fa, tol)
     if not decision.holds:
         raise RangeNotContained(
-            f"R(C) is not contained in R(A): relative residual {decision.residual:.3e}",
+            f"R(C) is not in the range of the coefficient: relative residual {decision.residual:.3e}",
             diagnosis=decision,
         )
     d = fa.pinv(c)

@@ -45,7 +45,7 @@ class NotSolvable(OpeqError):
 
 
 class RangeNotContained(NotSolvable):
-    """R(C) is not in R(A): A X = C has no solution; ``diagnosis`` is the failing RangeDecision."""
+    """R(C) not in R(A), or R([A B]) for A X + B Y = C: no solution; ``diagnosis`` is the failing decision."""
 
     decision = property(lambda self: self.diagnosis)
 

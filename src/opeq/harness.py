@@ -292,16 +292,22 @@ def verify(equation: str, operators: dict, solution: dict,
 
 def _verify_douglas(a, c, x, tol):
     fa = factor(a, tol)
+    residuals, failed = _douglas_certificate(a, c, x, fa.norm, tol)
+    residuals["reducedness"] = fro(fa.adjoint().n_astar(x)) / max(fro(x), 1e-300)
+    failed["reducedness"] = residuals["reducedness"] > ZERO_REL
+    return residuals, failed
+
+
+def _douglas_certificate(t, c, x, t_norm, tol):
+    """``equation``, ``lambda`` = ||X||_2^2 and the gap certifying C C* <= lambda T T* of T X = C."""
     lam = spectral_norm(x) ** 2
     residuals = {
-        "equation": fro(a @ x - c) / max(fro(c), 1e-300),
-        "reducedness": fro(fa.adjoint().n_astar(x)) / max(fro(x), 1e-300),
+        "equation": fro(t @ x - c) / max(fro(c), 1e-300),
         "lambda": lam,
-        "majorization_gap": majorization_gap(lam, a @ dagger(a), c, fa.norm ** 2),
+        "majorization_gap": majorization_gap(lam, t @ dagger(t), c, t_norm ** 2),
     }
     return residuals, {
         "equation": residuals["equation"] > tol.residual_rel,
-        "reducedness": residuals["reducedness"] > ZERO_REL,
         "majorization_gap": residuals["majorization_gap"] < -MAJORIZATION_SLACK,
     }
 
@@ -312,19 +318,9 @@ def _verify_sylvester(a, b, c, x, y, tol):
 
 
 def _verify_orthogonal(a, b, c, x, y, tol):
-    # C = [A B] [X; Y] gives C C* <= lam (A A* + B B*) for lam = ||[X; Y]||_2^2,
-    # and ||A A* + B B*||_2 = ||[A B]||_2^2.
-    lam = spectral_norm(np.vstack([x, y])) ** 2
-    residuals = {
-        "equation": fro(a @ x + b @ y - c) / max(fro(c), 1e-300),
-        "lambda": lam,
-        "majorization_gap": majorization_gap(lam, a @ dagger(a) + b @ dagger(b), c,
-                                             spectral_norm(np.hstack([a, b])) ** 2),
-    }
-    return residuals, {
-        "equation": residuals["equation"] > tol.residual_rel,
-        "majorization_gap": residuals["majorization_gap"] < -MAJORIZATION_SLACK,
-    }
+    # A X + B Y = C is T [X; Y] = C for T = [A B], and T T* = A A* + B B*.
+    t = np.hstack([a, b])
+    return _douglas_certificate(t, c, np.vstack([x, y]), spectral_norm(t), tol)
 
 
 def _verify_congruence(a, b, c, x, y, tol):
@@ -439,8 +435,7 @@ def _solve_congruence(ops, tol, seed):
 def _solve_congruence_cz(ops, tol, seed):
     x, y, z, rep = congruence.solve_congruence_cz(ops["A"], ops["B"], ops["C"], tol)
     return {"X": x, "Y": y, "Z": z}, {
-        "residuals": {"pn_s_residual": rep.intersection.pn_s_residual},
-        "intersection_dim": rep.intersection.dim,
+        "intersection_dim": rep.intersection_dim,
         "decisions": {"basis_in_range_c": asdict(rep.basis_in_range_c)},
     }
 

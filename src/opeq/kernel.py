@@ -65,6 +65,12 @@ DEFAULT_TOL = ToleranceConfig()
 # in verify) passes up to ZERO_REL relative to its operand.
 ZERO_REL = 1e-10
 
+# psd_sqrt's thresholds, relative to ||m||_2 or its ``scale``: the eigenvalue dust it clamps to zero
+# runs from -PSD_DUST_REL up to PSD_CUT_REL (below any meaningful eigenvalue, above eigh roundoff),
+# or up to PSD_DUST_REL given a ``scale``.  PSD_DUST_REL also bounds the Hermitian defect.
+PSD_DUST_REL = 1e-10
+PSD_CUT_REL = 1e-12
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-D complex128 array; :class:`InvalidMatrix` if it is not one.
@@ -232,7 +238,7 @@ def pinv(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 def psd_sqrt(m, scale: float | None = None) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix.
 
-    Eigenvalue dust in (-1e-10 * ||m||_2, 1e-12 * ||m||_2) is clamped to
+    Eigenvalue dust in (-PSD_DUST_REL, PSD_CUT_REL) * ||m||_2 is clamped to
     zero; anything more negative raises :class:`NotPSD`.  Products such as
     A X A* cancel to zero with roundoff proportional to the factors rather
     than to the product, so callers forming one may pass the factor
@@ -244,19 +250,18 @@ def psd_sqrt(m, scale: float | None = None) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise NotPSD(f"matrix of shape {m.shape} is not square")
     defect = float(np.linalg.norm(m - m.conj().T))
-    if defect > 1e-10 * max(fro(m), 1.0):
+    if defect > PSD_DUST_REL * max(fro(m), 1.0):
         raise NotPSD(f"matrix is not Hermitian (defect {defect:.3e})")
     w, q = np.linalg.eigh(m)
     norm2 = max(abs(w[0]), abs(w[-1]))
     if scale is not None:
         norm2 = max(norm2, float(scale))
-    if w[0] < -1e-10 * norm2:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -1e-10 * ||m||")
+    if w[0] < -PSD_DUST_REL * norm2:
+        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -{PSD_DUST_REL:g} * ||m||")
     # Positive dust is clamped as well: the square root turns eigenvalues
     # of size eps into sqrt(eps), which would fake a nonzero range where a
-    # product cancelled to zero.  The default cut sits well below any
-    # meaningful eigenvalue but above eigh roundoff.
-    cut = 1e-10 * norm2 if scale is not None else 1e-12 * norm2
+    # product cancelled to zero.
+    cut = (PSD_DUST_REL if scale is not None else PSD_CUT_REL) * norm2
     w = np.where(w > cut, w, 0.0)
     root = (q * np.sqrt(w)) @ q.conj().T
     return (root + root.conj().T) / 2.0

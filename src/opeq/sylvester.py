@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .douglas import _reduced_solution
 from .exceptions import HypothesisViolated, NotSolvable
 from .kernel import (DEFAULT_TOL, ZERO_REL, Factorization, ToleranceConfig, dagger, factor, fro, shaped,
                      spectral_norm)
@@ -40,7 +41,9 @@ class SylvesterDiagnosis:
     """Solvability certificate for A X + Y B = C.
 
     ``cond_range_cnb``    R(C N_B) subset-of R(A)
-    ``cond_range_pbc``    R(P_{B*} C*) subset-of R(B*)
+    ``cond_range_pbc``    R(P_{B*} C*) subset-of R(B*); in finite dimensions it
+                          holds by construction, since P_{B*} projects onto the
+                          closed R(B*), and is kept as the paper's condition
     ``classical_residual`` ||N_{A*} C N_B||_F, the (I - A A+) C (I - B+ B) test
     ``solvable``          both range conditions hold
     ``anomaly``           range conditions and classical residual disagree,
@@ -165,28 +168,18 @@ def solve_ax_by_orthogonal(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     """Solve A X + B Y = C under the verified hypothesis A* B = 0.
 
     Stacks T = [A B] (the equation's live block row), so solvability is
-    R(C) subset-of R([A B]); the reduced solution splits as [x; y] because
-    P_{T*} is block diagonal when A* B = 0.  Returns (x, y, lam) with
-    lam = ||[x; y]||_2^2 certifying C C* <= lam (A A* + B B*).
+    R(C) subset-of R([A B]) (else :class:`RangeNotContained`); the reduced
+    solution splits as [x; y] because P_{T*} is block diagonal when A* B = 0.
+    Returns (x, y, lam) with lam = ||[x; y]||_2^2 certifying C C* <= lam (A A* + B B*).
     """
     a, b, c = shaped(ORTHOGONAL_SIGNATURE, a, b, c)
     p = a.shape[1]
     # R(C) in R(A) + R(B) is necessary whatever A* B is, so it is decided first.
-    ft = factor(np.hstack([a, b]), tol)
-    decision = inclusion(c, ft, tol)
-    if not decision.holds:
-        raise NotSolvable(
-            f"R(C) is not contained in R(A) + R(B): residual {decision.residual:.3e}",
-            diagnosis=decision,
-        )
+    rep = _reduced_solution(factor(np.hstack([a, b]), tol), c, tol)
     defect = fro(dagger(a) @ b)
     bound = ZERO_REL * spectral_norm(a) * spectral_norm(b)
     if defect > bound:
         raise HypothesisViolated(
             f"A* B != 0: defect {defect:.3e} exceeds bound {bound:.3e}"
         )
-    d = ft.pinv(c)
-    x = d[:p]
-    y = d[p:]
-    lam = spectral_norm(d) ** 2
-    return x, y, lam
+    return rep.d[:p], rep.d[p:], rep.lambda_factor

@@ -267,8 +267,8 @@ def test_criterion_09_cz_suite():
         rank_c = min(m, shared + 1 + rng.next_u64() % m)
         c = (frame[:, :rank_c]) @ ranked_matrix(rng, rank_c, m, rank_c)
         x, y, z, rep = solve_congruence_cz(a, b, c)
-        if rep.intersection.dim != shared:
-            failures.append(f"instance {i}: intersection dim {rep.intersection.dim} != {shared}")
+        if rep.intersection_dim != shared:
+            failures.append(f"instance {i}: intersection dim {rep.intersection_dim} != {shared}")
         for name, block in (("x", x), ("y", y)):
             mineig = np.linalg.eigvalsh((block + block.conj().T) / 2.0)[0]
             if mineig < -1e-10 * max(np.linalg.norm(block, 2), 1.0):

@@ -436,8 +436,7 @@ def test_solve_report_fields_leave_measurement_to_verify(tag):
     assert "norms" not in fields
     # A copy of a certificate number can hide under another name (say "residual"
     # for "equation"), so pin the fields to what the solvers construct.
-    assert keys <= {"lambda_factor", "intersection_dim", "residuals", "pn_s_residual",
-                    "decisions", "basis_in_range_c"}
+    assert keys <= {"lambda_factor", "intersection_dim", "decisions", "basis_in_range_c"}
 
 
 def test_diagnose_choices_are_the_table_entries_with_a_diagnosis():

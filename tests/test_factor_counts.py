@@ -1,9 +1,11 @@
-"""LAPACK SVD and finiteness-scan counts of the public entry points on seeded k=2 instances.
+"""LAPACK SVD, eigendecomposition and finiteness-scan counts of the public entry points on
+seeded k=2 instances.
 
 Each entry point factors each of its operands once and applies the
 projections and pseudoinverses through that factorization, so the number
 of SVDs it runs is fixed by its structure.  Both ``numpy.linalg.svd`` and
-the module-level name that ``np.linalg.norm(x, 2)`` calls are counted.
+the module-level name that ``np.linalg.norm(x, 2)`` calls are counted, and
+Hermitian eigendecompositions (``eigh``, ``eigvalsh``) the same way.
 Likewise each matrix is scanned for NaN/Inf only where it enters the
 package, so the number of ``np.isfinite`` calls is fixed too.
 """
@@ -22,17 +24,20 @@ except ImportError:  # pragma: no cover
 SHAPE = (6, 5, 4, 3, 2)
 
 
-def counter(monkeypatch, owners, name):
-    """Count calls to ``name`` on every module in ``owners``; returns count(thunk)."""
+def counter(monkeypatch, owners, *names):
+    """Count calls to each of ``names`` on every module in ``owners``; returns count(thunk)."""
     calls = []
-    real = getattr(owners[0], name)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(real):
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return counting
 
-    for owner in owners:
-        monkeypatch.setattr(owner, name, counting)
+    for name in names:
+        counting = counted(getattr(owners[0], name))
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counting)
 
     def count(thunk):
         calls.clear()
@@ -48,24 +53,32 @@ def svd_count(monkeypatch):
 
 
 @pytest.fixture
+def eig_count(monkeypatch):
+    """Run a thunk and return how many Hermitian eigendecompositions it made."""
+    return counter(monkeypatch, (np.linalg, linalg_impl), "eigh", "eigvalsh")
+
+
+@pytest.fixture
 def scan_count(monkeypatch):
     """Run a thunk and return how many finiteness scans (``np.isfinite`` calls) it made."""
     return counter(monkeypatch, (np,), "isfinite")
 
 
-# equation tag -> (generated family, SVD bound of the solver, SVD count of verify).
+# equation tag -> (generated family, SVD bound of the solver, SVD count of verify,
+# eigendecomposition count of verify).
 # A solver bound is the count when every operand is factored once and
 # every range decision is applied through a factorization the caller
 # already holds, so a helper that factors an operand again breaks it.
 # verify factors only what the answer's own properties need: A for the
 # reducedness of a Douglas X, and one spectral norm per lambda, ||[A B]||
-# and nonzero check.
+# and nonzero check.  Its eigendecompositions are one per majorization gap
+# and one per PSD check of X and Y; no solver makes any.
 BOUNDS = {
-    "sylvester": ("sylvester-solvable", 2, 0),
-    "orthogonal": ("orthogonal-pair", 4, 2),
-    "congruence": ("congruence-solvable", 2, 0),
-    "douglas": ("scaled-equality-pair", 2, 2),
-    "congruence-cz": ("equal-range-pair", 5, 3),
+    "sylvester": ("sylvester-solvable", 2, 0, 0),
+    "orthogonal": ("orthogonal-pair", 4, 2, 1),
+    "congruence": ("congruence-solvable", 2, 0, 0),
+    "douglas": ("scaled-equality-pair", 2, 2, 1),
+    "congruence-cz": ("equal-range-pair", 4, 3, 2),
 }
 
 
@@ -88,30 +101,48 @@ def test_counting_sees_the_spectral_norm(svd_count):
 
 @pytest.mark.parametrize("eq", list(BOUNDS))
 def test_solver_factors_each_operand_once(svd_count, eq):
-    family, bound, _ = BOUNDS[eq]
+    family, bound, _, _ = BOUNDS[eq]
     ops = instance(family)
     assert svd_count(lambda: solve(eq, ops)) <= bound
 
 
 @pytest.mark.parametrize("eq", list(BOUNDS))
 def test_verify_factors_its_own_operands(svd_count, eq):
-    family, _, bound = BOUNDS[eq]
+    family, _, bound, _ = BOUNDS[eq]
     ops = instance(family)
     sol = solve(eq, ops)
     assert svd_count(lambda: verify(eq, ops, sol)) == bound
 
 
+def test_eig_counting_sees_both_names(eig_count):
+    assert eig_count(lambda: (np.linalg.eigh(np.eye(3)), np.linalg.eigvalsh(np.eye(3)))) == 2
+
+
+@pytest.mark.parametrize("eq", list(BOUNDS))
+def test_solver_makes_no_eigendecomposition(eig_count, eq):
+    ops = instance(BOUNDS[eq][0])
+    assert eig_count(lambda: solve(eq, ops)) == 0
+
+
+@pytest.mark.parametrize("eq", list(BOUNDS))
+def test_verify_eigendecompositions(eig_count, eq):
+    family, _, _, count = BOUNDS[eq]
+    ops = instance(family)
+    sol = solve(eq, ops)
+    assert eig_count(lambda: verify(eq, ops, sol)) == count
+
+
 # equation tag -> (scan bound of the solver, scan bound of verify).  Each
 # bound is one scan per matrix the entry point is handed (its shape check)
 # plus one per matrix it passes to a public primitive that checks its own
-# input (factor, psd_sqrt); helpers such as fro, dagger and inclusion scan
+# input (factor); helpers such as fro, dagger and inclusion scan
 # nothing, so a helper that checks an intermediate again breaks the bound.
 SCAN_BOUNDS = {
     "sylvester": (5, 5),
     "orthogonal": (4, 5),
     "congruence": (5, 5),
     "douglas": (3, 4),
-    "congruence-cz": (11, 6),
+    "congruence-cz": (7, 6),
 }
 
 

@@ -2,13 +2,13 @@
 
 The inhomogeneous solver follows the substitution X^ = X A*, Y^ = B Y that
 reduces the congruence equation to a Sylvester-type equation; the C Z
-variant extracts PSD blocks from the projection onto the kernel of the
-block row [A -B], whose ranges parameterize R(A) intersect R(B).
+variant takes its PSD blocks from the projection onto the kernel of the
+block row [A -B], built from N(A), N(B) and R(A) intersect R(B).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,9 +167,11 @@ class IntersectionReport:
     """R(A) intersect R(B) via the kernel projection of T = [A -B].
 
     ``x_block``, ``z_block``, ``y_block`` are the blocks of the orthogonal
-    projection P onto N(T) under the domain split; ``basis`` holds
-    orthonormal columns spanning the intersection, assembled from
-    [A X, A Z*].  ``pn_s_residual`` measures the side condition
+    projection P onto N(T) under the domain split.  ``basis`` holds the
+    ``dim`` orthonormal principal vectors of R(B) whose angle to R(A) has sine
+    at most ``residual_rel``; ``dim_rank_formula`` = rank A + rank B - rank [A B]
+    stays a rank decision, so a sine between the rank cutoff and ``residual_rel``
+    counts in ``dim`` only.  ``pn_s_residual`` measures the side condition
     P N(S) in N(S) for S = [A B]; it is reported, never enforced.
     """
 
@@ -190,59 +192,58 @@ class IntersectionReport:
 
 
 def _kernel_projection(a, b, tol):
-    """Factors of T = [A -B] and A, the Hermitian P = N_T, and the factored span [A X, A Z*]."""
-    p = a.shape[1]
-    ft = factor(np.hstack([a, -b]), tol)
-    proj = ft.right_n_a(np.eye(p + b.shape[1], dtype=np.complex128))
-    proj = (proj + proj.conj().T) / 2.0
-    fa = factor(a, tol)
-    # The span's cutoff is anchored to ||A|| rather than to the span itself:
-    # when the intersection is trivial the span is pure roundoff and must
-    # not be promoted to rank one by a self-relative threshold.
-    fspan = factor(np.hstack([a @ proj[:p, :p], a @ proj[:p, p:]]), tol, anchor=fa.norm)
-    return ft, fa, proj, fspan
+    """Factors of A and B, a basis of R(A) intersect R(B), and the blocks X, Y, Z* of N_T.
+
+    N(T) = (N(A) + 0) + (0 + N(B)) + {(A+ w, B+ w) : w in the intersection}, orthogonally,
+    so N_T = diag(N_A, N_B) + W W* for W = [W1; W2] orthonormal on the last piece.  The
+    intersection is spanned by the right singular vectors of N_{A*} Q_B whose singular values,
+    the principal angles' sines (Bjorck & Golub, Math. Comp. 27, 1973; cosines lose angles
+    below 1e-8), are at most ``residual_rel``, the bound of every inclusion on ||N_{A*} w||.
+    """
+    p, q = a.shape[1], b.shape[1]
+    fa, fb = factor(a, tol), factor(b, tol)
+    sines, vh = np.linalg.svd(fa.n_astar(fb.u), full_matrices=False)[1:]
+    basis = fb.u @ dagger(vh[sines <= tol.residual_rel])
+    w = np.linalg.qr(np.vstack([fa.pinv(basis), fb.pinv(basis)]))[0]
+    w1, w2 = w[:p], w[p:]
+    x = fa.adjoint().n_astar(np.eye(p, dtype=np.complex128)) + w1 @ dagger(w1)
+    y = fb.adjoint().n_astar(np.eye(q, dtype=np.complex128)) + w2 @ dagger(w2)
+    return fa, fb, basis, x, y, w1 @ dagger(w2)
 
 
 def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> IntersectionReport:
     """Compute R(A) intersect R(B) together with its PSD block certificate.
 
-    P = N_T = I - pinv(T) T projects onto N(T) for the live block row T = [A -B];
-    its diagonal blocks X, Y are PSD and satisfy A X = B Z, A Z* = B Y, and
-    the intersection equals R(A X) + R(A Z*).  This certificate, which the C Z solver
-    does not run, checks the dimension against rank A + rank B - rank [A B] and the
-    span against R((A A* : B B*)^{1/2}) (Fillmore & Williams, Adv. Math. 7, 1971).
+    P = N_T projects onto N(T) for T = [A -B]; its diagonal blocks X, Y are
+    PSD and satisfy A X = B Z, A Z* = B Y, and the intersection equals
+    R(A X) + R(A Z*).  This certificate, which the C Z solver does not run,
+    factors S = [A B] to check the dimension against rank A + rank B - rank S,
+    and checks the span against R((A A* : B B*)^{1/2}) (Fillmore & Williams,
+    Adv. Math. 7, 1971).
     """
     a, b = shaped(INTERSECTION_SIGNATURE, a, b)
-    p, q = a.shape[1], b.shape[1]
-    ft, fa, proj, fspan = _kernel_projection(a, b, tol)
-    x_block = proj[:p, :p]
-    zstar = proj[:p, p:]
-    z_block = proj[p:, :p]
-    y_block = proj[p:, p:]
-
-    # S = [A B] = T diag(I, -I): the same spectrum, with the B rows of v negated.
-    sign = np.concatenate([np.ones(p), -np.ones(q)])
-    fs = replace(ft, a=np.hstack([a, b]), v=sign[:, None] * ft.v)
+    fa, fb, basis, x_block, y_block, zstar = _kernel_projection(a, b, tol)
+    proj = np.block([[x_block, zstar], [dagger(zstar), y_block]])
+    fs = factor(np.hstack([a, b]), tol)
     pn_s_residual = fro(fs.adjoint().p_a(fs.right_n_a(proj)))
 
     scale = max(fro(a) + fro(b), 1e-300)
-    rank_b = factor(b, tol).rank
-    sqrt_axa = psd_sqrt(a @ x_block @ dagger(a), scale=fa.norm ** 2)
+    sqrt_axa = psd_sqrt(a @ x_block @ dagger(a), scale=fa.norm * fa.norm)
     return IntersectionReport(
         x_block=x_block,
-        z_block=z_block,
+        z_block=dagger(zstar),
         y_block=y_block,
         projection=proj,
-        basis=fspan.u,
-        dim=fspan.rank,
-        dim_rank_formula=fa.rank + rank_b - fs.rank,
+        basis=basis,
+        dim=basis.shape[1],
+        dim_rank_formula=fa.rank + fb.rank - fs.rank,
         rank_a=fa.rank,
-        rank_b=rank_b,
+        rank_b=fb.rank,
         rank_stacked=fs.rank,
         pn_s_residual=pn_s_residual,
-        ax_eq_bz_residual=fro(a @ x_block - b @ z_block) / scale,
+        ax_eq_bz_residual=fro(a @ x_block - b @ dagger(zstar)) / scale,
         azstar_eq_by_residual=fro(a @ zstar - b @ y_block) / scale,
-        sqrt_range_in_basis=inclusion(sqrt_axa, fspan, tol),
+        sqrt_range_in_basis=inclusion(sqrt_axa, factor(basis, tol), tol),
     )
 
 
@@ -266,17 +267,14 @@ def solve_congruence_cz(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     dimensions, is part of :func:`range_intersection`'s certificate.
     """
     a, b, c = shaped(CZ_SIGNATURE, a, b, c)
-    p = a.shape[1]
-    proj, fspan = _kernel_projection(a, b, tol)[2:]
-    if fspan.rank == 0:
+    basis, x, y = _kernel_projection(a, b, tol)[2:5]
+    if basis.shape[1] == 0:
         raise EmptyIntersection("R(A) and R(B) intersect only in 0")
     fc = factor(c, tol)
-    basis_in_c = inclusion(fspan.u, fc, tol)
+    basis_in_c = inclusion(basis, fc, tol)
     if not basis_in_c.holds:
         raise IntersectionNotInRangeC(
             f"R(A) intersect R(B) is not contained in R(C): residual {basis_in_c.residual:.3e}"
         )
-    x = proj[:p, :p]
-    y = proj[p:, p:]
     z = fc.pinv(a @ x @ dagger(a) + b @ y @ dagger(b))
-    return x, y, z, CzReport(intersection_dim=fspan.rank, basis_in_range_c=basis_in_c)
+    return x, y, z, CzReport(intersection_dim=basis.shape[1], basis_in_range_c=basis_in_c)

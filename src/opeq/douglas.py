@@ -60,7 +60,8 @@ def _reduced_solution(fa: Factorization, c, tol) -> ReducedSolutionReport:
             diagnosis=decision,
         )
     d = fa.pinv(c)
-    return ReducedSolutionReport(d=d, lambda_factor=spectral_norm(d) ** 2)
+    norm_d = spectral_norm(d)  # squared as a product, which overflows to inf, not OverflowError
+    return ReducedSolutionReport(d=d, lambda_factor=norm_d * norm_d)
 
 
 def douglas_factor(a, c, tol: ToleranceConfig = DEFAULT_TOL):
@@ -76,8 +77,8 @@ def douglas_factor(a, c, tol: ToleranceConfig = DEFAULT_TOL):
         lam = _reduced_solution(fa, c, tol).lambda_factor
     except RangeNotContained:
         return None
-    gap = majorization_gap(lam, a @ dagger(a), c, fa.norm ** 2)
-    if gap < -MAJORIZATION_SLACK:
+    gap = majorization_gap(lam, a @ dagger(a), c, fa.norm * fa.norm)
+    if not gap >= -MAJORIZATION_SLACK:
         raise ToleranceAnomaly(
             f"majorization certificate failed: relative min eigenvalue {gap:.3e} at lambda={lam:.6e}"
         )
@@ -103,13 +104,13 @@ def solve_scaled_equality(a, c, lambda_in: float,
     when it passes but the range equality does not.
     """
     a, c = shaped(SIGNATURE, a, c)
-    if not lambda_in > 0.0:
-        raise HypothesisViolated(f"lambda must be positive, got {lambda_in!r}")
+    if not 0.0 < lambda_in < np.inf:
+        raise HypothesisViolated(f"lambda must be positive and finite, got {lambda_in!r}")
     aa = a @ dagger(a)
     cc = c @ dagger(c)
     defect = fro(cc - lambda_in * aa)
     bound = tol.residual_rel * fro(aa) * lambda_in
-    if defect > bound:
+    if not defect <= bound:
         raise HypothesisViolated(
             f"C C* != lambda A A*: defect {defect:.3e} exceeds bound {bound:.3e}"
         )

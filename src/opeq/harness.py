@@ -177,8 +177,8 @@ def _gen_equal_range(spec: InstanceSpec, rng) -> dict:
 def _gen_scaled_equality(spec: InstanceSpec, rng) -> dict:
     m, n, _, _ = _dims(spec)
     lam = float(spec.params.get("lam", 1.0))
-    if not lam > 0.0:
-        raise InfeasibleSpec(f"lam must be positive, got {lam!r}")
+    if not 0.0 < lam < np.inf:
+        raise InfeasibleSpec(f"lam must be positive and finite, got {lam!r}")
     ra = _rank(spec, "A", max(1, min(m, n) - 1), min(m, n))
     a = ranked_matrix(rng, m, n, ra)
     u = random_unitary(rng, n)
@@ -294,27 +294,28 @@ def _verify_douglas(a, c, x, tol):
     fa = factor(a, tol)
     residuals, failed = _douglas_certificate(a, c, x, fa.norm, tol)
     residuals["reducedness"] = fro(fa.adjoint().n_astar(x)) / max(fro(x), 1e-300)
-    failed["reducedness"] = residuals["reducedness"] > ZERO_REL
+    failed["reducedness"] = not residuals["reducedness"] <= ZERO_REL
     return residuals, failed
 
 
 def _douglas_certificate(t, c, x, t_norm, tol):
     """``equation``, ``lambda`` = ||X||_2^2 and the gap certifying C C* <= lambda T T* of T X = C."""
-    lam = spectral_norm(x) ** 2
+    norm_x = spectral_norm(x)  # squares as products: past the double range they give inf, ** 2 raises
+    lam = norm_x * norm_x
     residuals = {
         "equation": fro(t @ x - c) / max(fro(c), 1e-300),
         "lambda": lam,
-        "majorization_gap": majorization_gap(lam, t @ dagger(t), c, t_norm ** 2),
+        "majorization_gap": majorization_gap(lam, t @ dagger(t), c, t_norm * t_norm),
     }
     return residuals, {
-        "equation": residuals["equation"] > tol.residual_rel,
-        "majorization_gap": residuals["majorization_gap"] < -MAJORIZATION_SLACK,
+        "equation": not residuals["equation"] <= tol.residual_rel,
+        "majorization_gap": not residuals["majorization_gap"] >= -MAJORIZATION_SLACK,
     }
 
 
 def _verify_sylvester(a, b, c, x, y, tol):
     residual = fro(a @ x + y @ b - c) / max(fro(c), 1e-300)
-    return {"equation": residual}, {"equation": residual > tol.residual_rel}
+    return {"equation": residual}, {"equation": not residual <= tol.residual_rel}
 
 
 def _verify_orthogonal(a, b, c, x, y, tol):
@@ -325,24 +326,24 @@ def _verify_orthogonal(a, b, c, x, y, tol):
 
 def _verify_congruence(a, b, c, x, y, tol):
     residual = fro(a @ x @ dagger(a) + b @ y @ dagger(b) - c) / max(fro(c), 1e-300)
-    return {"equation": residual}, {"equation": residual > tol.residual_rel}
+    return {"equation": residual}, {"equation": not residual <= tol.residual_rel}
 
 
 def _verify_congruence_cz(a, b, c, x, y, z, tol):
     lhs = a @ x @ dagger(a) + b @ y @ dagger(b)
     scale = max(fro(lhs), fro(c @ z), 1e-300)
     residuals = {"equation": fro(lhs - c @ z) / scale}
-    failed = {"equation": residuals["equation"] > tol.residual_rel}
+    failed = {"equation": not residuals["equation"] <= tol.residual_rel}
     norms = {name: spectral_norm(block) for name, block in (("x", x), ("y", y), ("z", z))}
     for name, block in (("x", x), ("y", y)):
         herm = fro(block - dagger(block)) / max(fro(block), 1e-300)
         mineig = float(np.linalg.eigvalsh((block + dagger(block)) / 2.0)[0])
         residuals[f"{name}_psd_gap"] = min(mineig, 0.0) / max(norms[name], 1e-300)
         residuals[f"{name}_hermitian_defect"] = herm
-        failed[f"{name}_psd"] = herm > ZERO_REL or residuals[f"{name}_psd_gap"] < -ZERO_REL
+        failed[f"{name}_psd"] = not (herm <= ZERO_REL and residuals[f"{name}_psd_gap"] >= -ZERO_REL)
     for name, norm in norms.items():
         residuals[f"{name}_norm"] = norm
-        failed[f"{name}_nonzero"] = norm <= NONZERO_NORM
+        failed[f"{name}_nonzero"] = not norm > NONZERO_NORM
     return residuals, failed
 
 

@@ -1,9 +1,9 @@
 """Dense complex matrix primitives: SVD, factorization, Moore-Penrose inverse, PSD square root.
 
-Operators are plain 2-D ``numpy`` arrays with complex128 entries.  Every
-rank and range decision made elsewhere in the package goes through
-:func:`factor`, the one place the rank cutoff (see :class:`ToleranceConfig`)
-is applied.  Input from outside the package is coerced and scanned once,
+Operators are plain 2-D ``numpy`` arrays with complex128 entries.  Every rank
+decision goes through :func:`factor`, the one place the rank cutoff (see
+:class:`ToleranceConfig`) is applied; range decisions compare residuals with
+``residual_rel``.  Input from outside the package is coerced and scanned once,
 by :func:`shaped` or a public primitive such as :func:`factor`;
 :func:`dagger`, :func:`fro` and :func:`spectral_norm` take arrays as given.
 """

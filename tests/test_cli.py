@@ -277,6 +277,26 @@ def test_gen_report_lists_files(tmp_path, capsys):
     assert defect <= 1e-12 * np.linalg.norm(a @ a.conj().T) * 4.0
 
 
+def test_gen_rejects_infinite_lambda_before_writing(tmp_path, capsys):
+    code = run_command(["gen", "--family", "scaled-equality-pair", "--seed", "0",
+                        "--lam", "inf", "--out", str(tmp_path)])
+    assert code == 1
+    assert "InfeasibleSpec" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_solve_douglas_overflowing_norm_keeps_the_exit_contract(tmp_path, capsys):
+    # ||A||_2^2 = 1e600 overflows in the certificate, which used to raise OverflowError
+    big = 1e300 * np.eye(2)
+    save_matrix(tmp_path / "A.json", big)
+    save_matrix(tmp_path / "C.json", big)
+    code = run_command(["solve", "douglas", "--A", str(tmp_path / "A.json"),
+                        "--C", str(tmp_path / "C.json"), "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["residuals"]["equation"] == 0.0
+
+
 def test_json_report_is_stable(tmp_path, capsys):
     files = save_instance(tmp_path, A=np.diag([1.0, 0.0]), B=np.diag([0.0, 1.0]), C=np.eye(2))
     argv = ["diagnose", "sylvester", "--A", files["A"], "--B", files["B"],

@@ -177,6 +177,9 @@ def test_intersection_random_invariants():
         assert np.linalg.norm(proj - proj.conj().T) <= 1e-10
         t = np.hstack([a, -b])
         assert np.linalg.norm(t @ proj) <= 1e-10 * max(np.linalg.norm(t), 1.0)
+        # the checks above also pass for a projection missing one of N_T's pieces
+        dense = np.eye(t.shape[1]) - np.linalg.pinv(t) @ t
+        assert np.linalg.norm(proj - dense) <= 1e-10
         # block identity from P^2 = P
         x, z = rep.x_block, rep.z_block
         assert np.linalg.norm(x @ x + z.conj().T @ z - x) <= 1e-10
@@ -221,3 +224,25 @@ def test_cz_empty_intersection():
 def test_cz_intersection_outside_range_c():
     with pytest.raises(IntersectionNotInRangeC):
         solve_congruence_cz(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("sine", [1e-9, 3e-8])
+def test_intersection_dim_is_the_inclusion_decision(sine):
+    # a = e1 and a unit b at angle arcsin(sine) from it.  1e-9 lies between the
+    # rank cutoff (T = [a -b] keeps rank 2) and residual_rel, so the ranges
+    # count as equal and meet; 3e-8 lies above residual_rel.
+    a = np.array([[1.0], [0.0], [0.0]])
+    b = np.array([[np.sqrt(1.0 - sine ** 2)], [sine], [0.0]])
+    meet = range_equal(a, b).holds
+    assert meet == (sine < 1e-8)
+    rep = range_intersection(a, b)
+    assert rep.dim == int(meet)
+    assert rep.dim_rank_formula == 0  # rank-based, blind to both angles
+    ops = {"A": a, "B": b, "C": np.eye(3)}
+    if not meet:
+        with pytest.raises(EmptyIntersection):
+            solve_congruence_cz(a, b, ops["C"])
+        return
+    x, y, z, cz = solve_congruence_cz(a, b, ops["C"])
+    assert cz.intersection_dim == 1
+    assert verify("congruence-cz", ops, {"X": x, "Y": y, "Z": z}).passed

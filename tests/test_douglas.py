@@ -119,6 +119,13 @@ def test_solve_scaled_equality_rejects_wrong_lambda():
         solve_scaled_equality(a, a, -1.0)
 
 
+@pytest.mark.parametrize("lam", [float("inf"), float("nan")])
+def test_solve_scaled_equality_rejects_non_finite_lambda(lam):
+    # C C* = 4 A A*; inf * 0 would make the defect NaN, which no bound test rejects
+    with pytest.raises(HypothesisViolated):
+        solve_scaled_equality(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]), lam)
+
+
 def test_solve_scaled_equality_anomaly_is_an_opeq_error():
     # C C* = A A* passes the loose Frobenius check (defect 1e-6 against a
     # bound of 1e-5) while R(C) = C^2 differs from R(A) = span(e1).

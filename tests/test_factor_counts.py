@@ -1,11 +1,11 @@
-"""LAPACK SVD, eigendecomposition and finiteness-scan counts of the public entry points on
+"""LAPACK SVD, eigendecomposition, QR and finiteness-scan counts of the public entry points on
 seeded k=2 instances.
 
 Each entry point factors each of its operands once and applies the
 projections and pseudoinverses through that factorization, so the number
 of SVDs it runs is fixed by its structure.  Both ``numpy.linalg.svd`` and
 the module-level name that ``np.linalg.norm(x, 2)`` calls are counted, and
-Hermitian eigendecompositions (``eigh``, ``eigvalsh``) the same way.
+Hermitian eigendecompositions (``eigh``, ``eigvalsh``) and QR the same way.
 Likewise each matrix is scanned for NaN/Inf only where it enters the
 package, so the number of ``np.isfinite`` calls is fixed too.
 """
@@ -56,6 +56,12 @@ def svd_count(monkeypatch):
 def eig_count(monkeypatch):
     """Run a thunk and return how many Hermitian eigendecompositions it made."""
     return counter(monkeypatch, (np.linalg, linalg_impl), "eigh", "eigvalsh")
+
+
+@pytest.fixture
+def qr_count(monkeypatch):
+    """Run a thunk and return how many QR factorizations it made."""
+    return counter(monkeypatch, (np.linalg, linalg_impl), "qr")
 
 
 @pytest.fixture
@@ -132,6 +138,28 @@ def test_verify_eigendecompositions(eig_count, eq):
     assert eig_count(lambda: verify(eq, ops, sol)) == count
 
 
+# equation tag -> QR count of the solver: the C Z solver orthonormalizes the
+# (A+ w; B+ w) pairs of its intersection basis once; verify makes none.
+QR_COUNTS = {"sylvester": 0, "orthogonal": 0, "congruence": 0, "douglas": 0, "congruence-cz": 1}
+
+
+def test_qr_counting_sees_qr(qr_count):
+    assert qr_count(lambda: np.linalg.qr(np.eye(3))) == 1
+
+
+@pytest.mark.parametrize("eq", list(BOUNDS))
+def test_solver_qr_count(qr_count, eq):
+    ops = instance(BOUNDS[eq][0])
+    assert qr_count(lambda: solve(eq, ops)) == QR_COUNTS[eq]
+
+
+@pytest.mark.parametrize("eq", list(BOUNDS))
+def test_verify_makes_no_qr(qr_count, eq):
+    ops = instance(BOUNDS[eq][0])
+    sol = solve(eq, ops)
+    assert qr_count(lambda: verify(eq, ops, sol)) == 0
+
+
 # equation tag -> (scan bound of the solver, scan bound of verify).  Each
 # bound is one scan per matrix the entry point is handed (its shape check)
 # plus one per matrix it passes to a public primitive that checks its own
@@ -142,7 +170,7 @@ SCAN_BOUNDS = {
     "orthogonal": (4, 5),
     "congruence": (5, 5),
     "douglas": (3, 4),
-    "congruence-cz": (7, 6),
+    "congruence-cz": (6, 6),
 }
 
 

@@ -164,6 +164,8 @@ def test_infeasible_specs_raise():
     with pytest.raises(InfeasibleSpec):
         generate(InstanceSpec(seed=0, family="scaled-equality-pair", params={"lam": -1.0}))
     with pytest.raises(InfeasibleSpec):
+        generate(InstanceSpec(seed=0, family="scaled-equality-pair", params={"lam": float("inf")}))
+    with pytest.raises(InfeasibleSpec):
         generate(InstanceSpec(seed=0, family="congruence-solvable", shape=(2, 2, 2, 2, 1)))
 
 
@@ -208,6 +210,15 @@ def test_verify_rejects_zero_solution():
     assert cert.residuals["equation"] == pytest.approx(1.0, abs=1e-12)
     cert = verify("congruence-cz", CZ_OPS, {**CZ_SOL, "Z": np.zeros((2, 2))})
     assert "z_nonzero" in cert.failures
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_verify_fails_closed_on_nan_residual():
+    # ||A X + Y B - C|| and ||C|| both overflow to inf, so the relative residual is NaN
+    eye = np.eye(2)
+    cert = verify("sylvester", {"A": 1e300 * eye, "B": eye, "C": 1e300 * eye}, {"X": 2.0 * eye, "Y": 0.0 * eye})
+    assert np.isnan(cert.residuals["equation"])
+    assert not cert.passed and cert.failures == ("equation",)
 
 
 def test_verify_douglas_checks_reducedness():

@@ -1,9 +1,9 @@
 """Certified solvers for operator equations over finite Hilbert C*-modules.
 
 Covers A X = C (reduced solution and majorization factor), A X + Y B = C
-(diagnosis, particular and general solutions), A X + B Y = C under
-A* B = 0, the congruence equations A X A* + B Y B* = 0 / = C, range
-intersections through kernel projections, and A X A* + B Y B* = C Z.
+(diagnosis, particular and general solutions), A X + B Y = C (reduced
+solution on [A B]), the congruence equations A X A* + B Y B* = 0 / = C,
+range intersections through kernel projections, and A X A* + B Y B* = C Z.
 Every answer ships with a machine-checkable certificate of residuals.
 """
 

@@ -88,10 +88,13 @@ def douglas_factor(a, c, tol: ToleranceConfig = DEFAULT_TOL):
 def majorization_gap(lam: float, gram, c, gram_norm: float) -> float:
     """Negative part of min-eig(lam (1 + s) G - C C*) over ``gram_norm`` = ||G||_2, s = MAJORIZATION_SLACK.
 
-    Zero certifies C C* <= lam (1 + s) G; the certificates accept down to -s.
+    Zero certifies C C* <= lam (1 + s) G; the certificates accept down to -s.  An overflowed
+    combination gives NaN, which they fail (eigvalsh returns finite values for inf or NaN).
     """
-    gap = float(np.linalg.eigvalsh(lam * (1.0 + MAJORIZATION_SLACK) * gram - c @ dagger(c))[0])
-    return min(gap, 0.0) / max(gram_norm, 1e-300)
+    combo = lam * (1.0 + MAJORIZATION_SLACK) * gram - c @ dagger(c)
+    if not np.abs(combo).max(initial=0.0) < np.inf:
+        return float("nan")
+    return float(np.linalg.eigvalsh(combo).min(initial=0.0)) / max(gram_norm, 1e-300)
 
 
 def solve_scaled_equality(a, c, lambda_in: float,

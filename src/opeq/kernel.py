@@ -60,9 +60,8 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
-# The fixed threshold besides ToleranceConfig: a defect that is zero in exact arithmetic
-# (A* B in the orthogonal solver; reducedness and the Hermitian and PSD defects of X and Y
-# in verify) passes up to ZERO_REL relative to its operand.
+# The fixed threshold besides ToleranceConfig: a defect that is zero in exact arithmetic (in verify,
+# reducedness and the Hermitian and PSD defects of X and Y) passes up to ZERO_REL of its operand.
 ZERO_REL = 1e-10
 
 # psd_sqrt's thresholds, relative to ||m||_2 or its ``scale``: the eigenvalue dust it clamps to zero

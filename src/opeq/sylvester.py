@@ -1,9 +1,10 @@
-"""Sylvester-type equations A X + Y B = C and A X + B Y = C with A* B = 0.
+"""Sylvester-type equations A X + Y B = C and A X + B Y = C.
 
 Shapes are fully general: A is m-by-p, B is q-by-n, C is m-by-n, so X is
 p-by-n and Y is m-by-q.  The particular pair is built from two reduced
 solutions; the homogeneous pair is parameterized by three free operators
-(W1, W', W4) and cancels exactly.
+(W1, W', W4) and cancels exactly.  A X + B Y = C is the Douglas equation
+on [A B], solved without the paper's hypothesis A* B = 0.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .douglas import _reduced_solution
-from .exceptions import HypothesisViolated, NotSolvable
-from .kernel import (DEFAULT_TOL, ZERO_REL, Factorization, ToleranceConfig, dagger, factor, fro, shaped,
-                     spectral_norm)
+from .exceptions import NotSolvable
+from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, shaped
 from .projections import RangeDecision, inclusion
 from .rng import Xoshiro256StarStar, complex_normal_matrix
 
@@ -165,21 +165,14 @@ def solve_ax_yb(a, b, c, params=None, tol: ToleranceConfig = DEFAULT_TOL) -> Syl
 
 
 def solve_ax_by_orthogonal(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
-    """Solve A X + B Y = C under the verified hypothesis A* B = 0.
+    """Solve A X + B Y = C as the Douglas equation T [X; Y] = C for T = [A B].
 
-    Stacks T = [A B] (the equation's live block row), so solvability is
-    R(C) subset-of R([A B]) (else :class:`RangeNotContained`); the reduced
-    solution splits as [x; y] because P_{T*} is block diagonal when A* B = 0.
-    Returns (x, y, lam) with lam = ||[x; y]||_2^2 certifying C C* <= lam (A A* + B B*).
+    Solvable exactly when R(C) subset-of R(T) = R(A) + R(B), whatever A* B is
+    (else :class:`RangeNotContained`); [x; y] is the reduced solution split at
+    A's column count.  Returns (x, y, lam) with lam = ||[x; y]||_2^2
+    certifying C C* <= lam (A A* + B B*).
     """
     a, b, c = shaped(ORTHOGONAL_SIGNATURE, a, b, c)
     p = a.shape[1]
-    # R(C) in R(A) + R(B) is necessary whatever A* B is, so it is decided first.
     rep = _reduced_solution(factor(np.hstack([a, b]), tol), c, tol)
-    defect = fro(dagger(a) @ b)
-    bound = ZERO_REL * spectral_norm(a) * spectral_norm(b)
-    if defect > bound:
-        raise HypothesisViolated(
-            f"A* B != 0: defect {defect:.3e} exceeds bound {bound:.3e}"
-        )
     return rep.d[:p], rep.d[p:], rep.lambda_factor

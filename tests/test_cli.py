@@ -224,12 +224,6 @@ def test_out_of_memory_exit_1(monkeypatch, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: MemoryError: Unable to allocate 21.0 TiB\n"
 
-def test_orthogonal_hypothesis_violation_exit_1(tmp_path, capsys):
-    files = save_instance(tmp_path, A=np.eye(2), B=np.eye(2), C=np.eye(2))
-    code = run_command(["solve", "orthogonal", "--A", files["A"], "--B", files["B"],
-                        "--C", files["C"]])
-    assert code == 1
-
 
 def test_failed_certificate_exits_1_not_2(tmp_path, capsys, monkeypatch):
     # The solve adapter looks its solver up at call time, so a wrong answer
@@ -287,14 +281,29 @@ def test_gen_rejects_infinite_lambda_before_writing(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_solve_douglas_overflowing_norm_keeps_the_exit_contract(tmp_path, capsys):
-    # ||A||_2^2 = 1e600 overflows in the certificate, which used to raise OverflowError
+    # ||A||_2^2 = 1e600 overflows in the certificate, which used to raise OverflowError; the
+    # Gram combination of the majorization gap overflows too, so that check fails closed
     big = 1e300 * np.eye(2)
     save_matrix(tmp_path / "A.json", big)
     save_matrix(tmp_path / "C.json", big)
     code = run_command(["solve", "douglas", "--A", str(tmp_path / "A.json"),
                         "--C", str(tmp_path / "C.json"), "--json"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["certificate"]["residuals"]["equation"] == 0.0
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: NotASolution: ")
+    cert = json.loads(captured.out)["certificate"]
+    assert cert["residuals"]["equation"] == 0.0
+    assert cert["failures"] == ["majorization_gap"]
+
+
+@pytest.mark.parametrize("tag", ["douglas", "orthogonal"])
+def test_solve_with_zero_rows_is_certified(tmp_path, capsys, tag):
+    # m = 0: the Gram matrix of the majorization gap is 0x0
+    files = save_instance(tmp_path, A=np.zeros((0, 2)), B=np.zeros((0, 3)), C=np.zeros((0, 2)))
+    flags = [arg for name in harness.EQUATIONS[tag].operands for arg in (f"--{name}", files[name])]
+    assert run_command(["solve", tag, *flags, "--json"]) == 0
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    assert cert["passed"] and cert["residuals"]["majorization_gap"] == 0.0
 
 
 def test_json_report_is_stable(tmp_path, capsys):
@@ -547,10 +556,13 @@ CONTRACT = {
         "congruence-cz", 1, None,
         {"X": np.diag([0.0, 1.0]), "Y": np.diag([0.0, 1.0]), "Z": np.diag([1.0, 0.0])}),
     "sylvester-unsolvable": ("sylvester-unsolvable", "sylvester", 2, None, None),
-    # R(C) outside R(A) + R(B) is necessary whatever A* B is, so it wins over A* B != 0.
+    # A* B != 0 is no refusal: R(C) outside R(A) + R(B) alone decides the exit code.
     "orthogonal-both-fail": (
         {"A": np.diag([1.0, 0.0]), "B": np.diag([1.0, 0.0]), "C": np.diag([0.0, 1.0])},
         "orthogonal", 2, None, None),
+    "orthogonal-overlapping-ranges": (
+        {"A": np.eye(2), "B": np.eye(2), "C": np.eye(2)},
+        "orthogonal", 0, None, {"X": np.eye(2) / 2, "Y": np.eye(2) / 2}),
 }
 
 

@@ -76,15 +76,16 @@ def scan_count(monkeypatch):
 # every range decision is applied through a factorization the caller
 # already holds, so a helper that factors an operand again breaks it.
 # verify factors only what the answer's own properties need: A for the
-# reducedness of a Douglas X, and one spectral norm per lambda, ||[A B]||
-# and nonzero check.  Its eigendecompositions are one per majorization gap
-# and one per PSD check of X and Y; no solver makes any.
+# reducedness of a Douglas X, one spectral norm per lambda and ||[A B]||,
+# and ||Z|| for the C Z nonzero check.  Its eigendecompositions are one per
+# majorization gap and one per PSD check of X and Y, whose spectrum also
+# gives the norm of X or Y; no solver makes any.
 BOUNDS = {
     "sylvester": ("sylvester-solvable", 2, 0, 0),
-    "orthogonal": ("orthogonal-pair", 4, 2, 1),
+    "orthogonal": ("orthogonal-pair", 2, 2, 1),
     "congruence": ("congruence-solvable", 2, 0, 0),
     "douglas": ("scaled-equality-pair", 2, 2, 1),
-    "congruence-cz": ("equal-range-pair", 4, 3, 2),
+    "congruence-cz": ("equal-range-pair", 4, 1, 2),
 }
 
 

@@ -221,6 +221,24 @@ def test_verify_fails_closed_on_nan_residual():
     assert not cert.passed and cert.failures == ("equation",)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_verify_fails_closed_on_overflowed_majorization():
+    # lam A A* - C C* is inf - inf, on which eigvalsh returns finite values
+    eye = np.eye(2)
+    cert = verify("douglas", {"A": 1e300 * eye, "C": 1e300 * eye}, {"X": 0.5 * eye})
+    assert np.isnan(cert.residuals["majorization_gap"])
+    assert "majorization_gap" in cert.failures
+
+
+def test_verify_congruence_cz_with_empty_unknowns_fails():
+    # p = q = 0: X and Y are 0x0, so their spectra are empty
+    empty = np.zeros((2, 0))
+    cert = verify("congruence-cz", {"A": empty, "B": empty, "C": np.eye(2)},
+                  {"X": np.zeros((0, 0)), "Y": np.zeros((0, 0)), "Z": np.eye(2)})
+    assert not cert.passed
+    assert {"x_nonzero", "y_nonzero"} <= set(cert.failures)
+
+
 def test_verify_douglas_checks_reducedness():
     rng = Xoshiro256StarStar(25)
     a = ranked_matrix(rng, 5, 4, 2)

@@ -2,15 +2,16 @@
 
 Each transformation maps an instance to one that is solvable exactly when
 the original is: a unitary change of basis, the adjoint symmetry of the
-Sylvester equation, zero padding, and the module lift M -> M (x) I_3.  The
-loops run seeds 0-5 of the generated families of both verdicts.
+Sylvester equation, zero padding, the module lift M -> M (x) I_3, and a
+unitary mixing of the columns of [A B] in A X + B Y = C.  The loops run
+seeds 0-5 of the generated families of both verdicts.
 """
 
 import numpy as np
 import pytest
 
-from opeq import diagnose_ax_yb, diagnose_congruence
-from opeq.harness import InstanceSpec, generate, random_unitary
+from opeq import RangeNotContained, diagnose_ax_yb, diagnose_congruence, solve_ax_by_orthogonal
+from opeq.harness import InstanceSpec, generate, random_unitary, verify
 from opeq.rng import Xoshiro256StarStar
 
 SEEDS = range(6)
@@ -81,3 +82,22 @@ def test_congruence_status_is_invariant(family, name):
         status = diagnose_congruence(a, b, c).status
         assert status == ("solvable" if family == "congruence-solvable" else "unsolvable")
         assert diagnose_congruence(*CONGRUENCE_MAPS[name](a, b, c, rng)).status == status, seed
+
+
+def test_orthogonal_verdict_survives_mixing_the_coefficients():
+    # A X + B Y = C is [A B] [X; Y] = C, so [A' B'] = [A B] V keeps R(A) + R(B) for a
+    # unitary V, while A'* B' is no longer 0.  Ranks 2 + 2 < m = 6 leave room outside.
+    rng = Xoshiro256StarStar(3000)
+    for seed in SEEDS:
+        ops = generate(InstanceSpec(seed=seed, family="orthogonal-pair", ranks={"A": 2, "B": 2}))
+        a, b, c = ops["A"], ops["B"], ops["C"]
+        t = np.hstack([a, b])
+        outside = c + (np.eye(t.shape[0]) - t @ np.linalg.pinv(t)) @ np.ones(c.shape)
+        p = a.shape[1]
+        mixed = t @ random_unitary(rng, t.shape[1])
+        assert np.linalg.norm(dagger(mixed[:, :p]) @ mixed[:, p:]) > 1e-3, seed
+        for a, b in ((a, b), (mixed[:, :p], mixed[:, p:])):
+            x, y, _ = solve_ax_by_orthogonal(a, b, c)
+            assert verify("orthogonal", {"A": a, "B": b, "C": c}, {"X": x, "Y": y}).passed, seed
+            with pytest.raises(RangeNotContained):
+                solve_ax_by_orthogonal(a, b, outside)

@@ -144,3 +144,24 @@ def test_orthogonal_verdicts_match_lstsq():
                     raise AssertionError("unreachable right-hand side accepted")
                 except NotSolvable:
                     pass
+    # generic pairs, A* B != 0: every other C is drawn inside R(A) + R(B)
+    branches = set()
+    for i in range(40):
+        p, q = 2 + rng.next_u64() % 4, 2 + rng.next_u64() % 3
+        a = ranked_matrix(rng, 6, p, 1 + rng.next_u64() % p)
+        b = ranked_matrix(rng, 6, q, 1 + rng.next_u64() % q)
+        design = np.hstack([a, b])
+        c = design @ complex_normal_matrix(rng, p + q, 3) if i % 2 else complex_normal_matrix(rng, 6, 3)
+        oracle_solvable = lstsq_residual(design, c) <= 1e-8
+        try:
+            x, y, _ = solve_ax_by_orthogonal(a, b, c)
+        except RangeNotContained:
+            assert not oracle_solvable, i
+            branches.add("refused")
+            continue
+        assert oracle_solvable, i
+        oracle, _, _, _ = np.linalg.lstsq(design, c, rcond=None)
+        assert np.linalg.norm(np.vstack([x, y]) - oracle) <= 1e-8 * max(np.linalg.norm(oracle), 1.0)
+        assert verify("orthogonal", {"A": a, "B": b, "C": c}, {"X": x, "Y": y}).passed
+        branches.add("solved")
+    assert branches == {"solved", "refused"}

@@ -5,7 +5,6 @@ import pytest
 
 from opeq import (
     DimensionMismatch,
-    HypothesisViolated,
     NotASolution,
     NotSolvable,
     completeness_witness,
@@ -178,6 +177,11 @@ def test_orthogonal_unreachable_direction():
         solve_ax_by_orthogonal(a, b, c)
 
 
-def test_orthogonal_rejects_non_orthogonal_ranges():
-    with pytest.raises(HypothesisViolated):
-        solve_ax_by_orthogonal(np.eye(2), np.eye(2), np.eye(2))
+def test_orthogonal_solves_overlapping_ranges():
+    # A* B = I != 0: the paper's hypothesis fails, and [X; Y] = pinv([I I]) I = [I/2; I/2]
+    eye = np.eye(2)
+    x, y, lam = solve_ax_by_orthogonal(eye, eye, eye)
+    np.testing.assert_allclose(x, eye / 2, atol=1e-14)
+    np.testing.assert_allclose(y, eye / 2, atol=1e-14)
+    assert lam == pytest.approx(0.5, abs=1e-14)
+    assert verify("orthogonal", {"A": eye, "B": eye, "C": eye}, {"X": x, "Y": y}).passed

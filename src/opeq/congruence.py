@@ -47,14 +47,14 @@ class CongruenceDiagnosis:
     Hypotheses: R(C) in R(B), R(C*) in R(A), and R(C* P_A) in N(B*), the
     last one measured by ``hyp_cstar_pa_in_nbstar`` = ||B* C* P_A||_F.
     Criteria (necessary and, under the hypotheses, sufficient):
-    R(C N_{B*}) in R(A) and R(C* N_{A*}) in R(B).
+    R(C N_{B*}) in R(A) and R(C N_{A*}) in R(B), i.e. N_{A*} C N_{B*} = 0 = N_{B*} C N_{A*}.
     """
 
     hyp_c_in_b: RangeDecision
     hyp_cstar_in_a: RangeDecision
     hyp_cstar_pa_in_nbstar: float
     cond_cnbstar_in_a: RangeDecision
-    cond_cstar_nastar_in_b: RangeDecision
+    cond_cnastar_in_b: RangeDecision
     hypotheses_hold: bool
     solvable: bool
 
@@ -62,7 +62,7 @@ class CongruenceDiagnosis:
     def status(self) -> str:
         """``unsolvable`` if a criterion fails (they are necessary), ``inconclusive`` if
         both hold but a hypothesis of their sufficiency fails, else ``solvable``."""
-        if not (self.cond_cnbstar_in_a.holds and self.cond_cstar_nastar_in_b.holds):
+        if not (self.cond_cnbstar_in_a.holds and self.cond_cnastar_in_b.holds):
             return "unsolvable"
         return "solvable" if self.hypotheses_hold else "inconclusive"
 
@@ -73,11 +73,11 @@ def diagnose_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> Congruen
 
 
 def _criteria(fa: Factorization, fb: Factorization, c, tol):
-    """The range criteria R(C N_{B*}) in R(A) and R(C* N_{A*}) in R(B)."""
+    """R(C N_{B*}) in R(A) and R(C N_{A*}) in R(B); R(C* N_{A*}) in R(B) is the first's adjoint."""
     norm_c = fro(c)
     return (
         inclusion(fb.adjoint().right_n_a(c), fa, tol, scale=norm_c),
-        inclusion(fa.adjoint().right_n_a(dagger(c)), fb, tol, scale=norm_c),
+        inclusion(fa.adjoint().right_n_a(c), fb, tol, scale=norm_c),
     )
 
 
@@ -93,7 +93,7 @@ def _diagnose(fa: Factorization, fb: Factorization, c, tol) -> CongruenceDiagnos
         hyp_cstar_in_a=hyp_cstar_in_a,
         hyp_cstar_pa_in_nbstar=hyp3,
         cond_cnbstar_in_a=cond1,
-        cond_cstar_nastar_in_b=cond2,
+        cond_cnastar_in_b=cond2,
         hypotheses_hold=hypotheses_hold,
         solvable=hypotheses_hold and cond1.holds and cond2.holds,
     )
@@ -143,8 +143,8 @@ def solve_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
             "A X A* + B Y B* = C has no solution: "
             f"R(C N_B*) in R(A) holds = {diag.cond_cnbstar_in_a.holds} "
             f"(residual {diag.cond_cnbstar_in_a.residual:.3e}), "
-            f"R(C* N_A*) in R(B) holds = {diag.cond_cstar_nastar_in_b.holds} "
-            f"(residual {diag.cond_cstar_nastar_in_b.residual:.3e})",
+            f"R(C N_A*) in R(B) holds = {diag.cond_cnastar_in_b.holds} "
+            f"(residual {diag.cond_cnastar_in_b.residual:.3e})",
             diagnosis=diag,
         )
     if diag.status == "inconclusive":

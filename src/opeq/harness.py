@@ -194,7 +194,7 @@ def _gen_congruence(spec: InstanceSpec, rng) -> dict:
     rows in S, plus a second component with columns in S and rows in the
     A-only part; both satisfy the hypotheses, and the second one makes the
     solved X nonzero.  The violating variant adds a rank-one term whose row
-    lies in the A-only part, which breaks both range criteria at once.
+    lies in the A-only part, which breaks R(C N_{B*}) in R(A) only.
     """
     m = _dims(spec)[0]
     ra = _rank(spec, "A", max(2, m // 2), m)
@@ -387,16 +387,16 @@ def completeness_witness(a, b, c, x0, y0, tol: ToleranceConfig = DEFAULT_TOL) ->
 @dataclass(frozen=True)
 class NecessityReport:
     cnbstar_in_a: RangeDecision
-    cstar_nastar_in_b: RangeDecision
+    cnastar_in_b: RangeDecision
     passed: bool
 
 
 def solvability_necessity_check(a, b, c, x, y, tol: ToleranceConfig = DEFAULT_TOL) -> NecessityReport:
     """Confirm the two range criteria of A X A* + B Y B* = C on a known solution.
 
-    Multiplying the solved equation by N_{B*} on the right (and its adjoint
-    by N_{A*}) forces R(C N_{B*}) in R(A) and R(C* N_{A*}) in R(B), with no
-    hypotheses; this checks that necessity on a concrete (x, y).  A pair
+    Multiplying the solved equation by N_{B*} on the right forces
+    R(C N_{B*}) in R(A), and by N_{A*} on the right R(C N_{A*}) in R(B), with
+    no hypotheses; this checks that necessity on a concrete (x, y).  A pair
     that :func:`verify` does not certify raises :class:`NotASolution`.
     """
     a, b, c, x, y = shaped(congruence.SIGNATURE, a, b, c, x, y)
@@ -404,7 +404,7 @@ def solvability_necessity_check(a, b, c, x, y, tol: ToleranceConfig = DEFAULT_TO
     if not cert.passed:
         raise NotASolution(f"(x, y) does not solve A X A* + B Y B* = C: {', '.join(cert.failures)} failed")
     inc1, inc2 = congruence._criteria(factor(a, tol), factor(b, tol), c, tol)
-    return NecessityReport(cnbstar_in_a=inc1, cstar_nastar_in_b=inc2,
+    return NecessityReport(cnbstar_in_a=inc1, cnastar_in_b=inc2,
                            passed=inc1.holds and inc2.holds)
 
 

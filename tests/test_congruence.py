@@ -91,10 +91,10 @@ def test_necessity_check_vacuous_zero_solution():
 
 
 def test_diagnose_inconclusive_when_hypothesis_fails():
-    # criteria hold trivially (C N_B* = 0 = C* N_A*) while B* C* P_A != 0
+    # criteria hold trivially (C N_B* = 0 = C N_A*) while B* C* P_A != 0
     a = np.diag([1.0, 0.0])
     diag = diagnose_congruence(a, a, a)
-    assert diag.cond_cnbstar_in_a.holds and diag.cond_cstar_nastar_in_b.holds
+    assert diag.cond_cnbstar_in_a.holds and diag.cond_cnastar_in_b.holds
     assert not diag.hypotheses_hold and not diag.solvable
     with pytest.raises(HypothesisViolated):
         solve_congruence(a, a, a)

@@ -2,9 +2,10 @@
 
 Each transformation maps an instance to one that is solvable exactly when
 the original is: a unitary change of basis, the adjoint symmetry of the
-Sylvester equation, zero padding, the module lift M -> M (x) I_3, and a
-unitary mixing of the columns of [A B] in A X + B Y = C.  The loops run
-seeds 0-5 of the generated families of both verdicts.
+Sylvester and congruence equations, zero padding, the module lift
+M -> M (x) I_3, and a unitary mixing of the columns of [A B] in
+A X + B Y = C.  The loops run seeds 0-5 of the generated families of both
+verdicts.
 """
 
 import numpy as np
@@ -82,6 +83,17 @@ def test_congruence_status_is_invariant(family, name):
         status = diagnose_congruence(a, b, c).status
         assert status == ("solvable" if family == "congruence-solvable" else "unsolvable")
         assert diagnose_congruence(*CONGRUENCE_MAPS[name](a, b, c, rng)).status == status, seed
+
+
+@pytest.mark.parametrize("family", ["congruence-solvable", "congruence-criterion-violating"])
+def test_congruence_unsolvable_verdict_is_adjoint_invariant(family):
+    # A X A* + B Y B* = C  <=>  A X* A* + B Y* B* = C*.  Only the necessary criteria are
+    # compared: the hypotheses are not adjoint-symmetric, so "solvable" may turn "inconclusive".
+    for seed in SEEDS:
+        a, b, c = instance(family, seed)
+        unsolvable = diagnose_congruence(a, b, c).status == "unsolvable"
+        assert unsolvable == (family == "congruence-criterion-violating")
+        assert (diagnose_congruence(a, b, dagger(c)).status == "unsolvable") == unsolvable, seed
 
 
 def test_orthogonal_verdict_survives_mixing_the_coefficients():

@@ -11,6 +11,7 @@ import numpy as np
 from opeq import (
     InstanceSpec,
     diagnose_ax_yb,
+    diagnose_congruence,
     generate,
     reduced_solution,
     solve_ax_by_orthogonal,
@@ -123,6 +124,33 @@ def test_congruence_verdicts_match_lstsq():
             raise AssertionError("violating instance accepted")
         except NotSolvable:
             pass
+
+
+def test_congruence_generic_instances_match_lstsq():
+    # Ranks below m leave N_{A*} and N_{B*} nonzero.  C is A G A* + B H B* (solvable),
+    # G - N_{A*} G N_{B*} (R(C N_{B*}) in R(A) holds, N_{B*} C N_{A*} != 0 does not),
+    # or a plain Gaussian; the last two are unsolvable.
+    rng = Xoshiro256StarStar(309)
+    m = 5
+    for i in range(45):
+        p, q = 2 + rng.next_u64() % 4, 2 + rng.next_u64() % 4
+        a = ranked_matrix(rng, m, p, 1 + rng.next_u64() % min(p, m - 1))
+        b = ranked_matrix(rng, m, q, 1 + rng.next_u64() % min(q, m - 1))
+        kind = i % 3
+        if kind == 0:
+            x, y = complex_normal_matrix(rng, p, p), complex_normal_matrix(rng, q, q)
+            c = a @ x @ a.conj().T + b @ y @ b.conj().T
+        else:
+            c = complex_normal_matrix(rng, m, m)
+        if kind == 1:
+            n_astar = np.eye(m) - a @ np.linalg.pinv(a)
+            n_bstar = np.eye(m) - b @ np.linalg.pinv(b)
+            c = c - n_astar @ c @ n_bstar
+        design, rhs = congruence_system(a, b, c)
+        oracle_solvable = lstsq_residual(design, rhs) <= 1e-8
+        status = diagnose_congruence(a, b, c).status
+        assert oracle_solvable == (kind == 0), i
+        assert (status == "unsolvable") == (kind != 0), (i, status)
 
 
 def test_orthogonal_verdicts_match_lstsq():

@@ -44,8 +44,11 @@ class SylvesterDiagnosis:
                           holds by construction, P_{B*} projecting onto the closed R(B*)
     ``classical_residual`` ||N_{A*} C N_B||_F, the (I - A A+) C (I - B+ B) test
     ``solvable``          the range condition holds
-    ``anomaly``           the range condition and classical residual disagree,
-                          which can only happen near a rank threshold
+    ``anomaly``           the range condition and classical residual disagree; the
+                          decision counts C N_B as zero only when ||C N_B|| <= rank_rel ||C||
+                          and otherwise measures ||N_{A*} C N_B|| against ||C N_B||, while
+                          the classical residual is measured against ||C||, so the two part
+                          whenever ||C N_B|| is small next to ||C|| but not zero
     """
 
     cond_range_cnb: RangeDecision

@@ -3,21 +3,35 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opeq
 from opeq import (HypothesisViolated, NotSolvable, ParseError, ShapeError, ToleranceConfig, harness,
                   load_matrix, load_matrix_meta, save_matrix, sylvester)
+from opeq import matrixio
 from opeq.matrixio import matrix_to_obj
 from opeq.cli import (DEMO_MAX_N, build_parser, make_truncated_shift, run_command,
                       truncated_shift_demo)
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 
-def write(path, obj):
-    path.write_text(json.dumps(obj))
+# Malformed-file tests write each file in both layouts: json.dumps's spaced default, and
+# the compact one save_matrix writes, which load_matrix_meta first tries to decode in slices.
+LAYOUTS = {"spaced": json.dumps,
+           "compact": lambda obj: json.dumps(obj, separators=(",", ":")) + "\n"}
+
+
+def write(path, obj, layout="spaced"):
+    path.write_text(LAYOUTS[layout](obj))
     return str(path)
 
 
@@ -42,10 +56,11 @@ def test_complex_entry_mapping(tmp_path):
 
 
 def test_shape_error_on_wrong_data_length(tmp_path):
-    path = write(tmp_path / "bad.json",
-                 {"rows": 2, "cols": 2, "data": [[1.0, 0.0]] * 3})
-    with pytest.raises(ShapeError):
-        load_matrix(path)
+    for layout in LAYOUTS:
+        path = write(tmp_path / "bad.json",
+                     {"rows": 2, "cols": 2, "data": [[1.0, 0.0]] * 3}, layout)
+        with pytest.raises(ShapeError, match=r"data length 3 != rows\*cols = 4"):
+            load_matrix(path)
 
 
 def test_block_k_must_divide(tmp_path):
@@ -67,29 +82,111 @@ def test_parse_errors(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ParseError):
         load_matrix(path)
-    path = write(tmp_path / "pair.json", {"rows": 1, "cols": 1, "data": [[1.0]]})
-    with pytest.raises(ParseError):
-        load_matrix(path)
-    path = write(tmp_path / "rows.json", {"cols": 1, "data": [[1.0, 0.0]]})
-    with pytest.raises(ParseError):
-        load_matrix(path)
-    # float64 conversion alone would read true as 1.0 and "1.5" as 1.5.
-    for name, pair in (("string", ["x", 0.0]), ("null", [None, 0.0]),
-                       ("triple", [1.0, 0.0, 0.0]), ("boolean", [True, False]),
-                       ("mixed-boolean", [1.0, False]), ("numeric-string", ["1.5", 0.0])):
-        path = write(tmp_path / f"{name}.json", {"rows": 1, "cols": 1, "data": [pair]})
-        with pytest.raises(ParseError, match=f"{name}.json"):
+    for layout in LAYOUTS:
+        path = write(tmp_path / "pair.json", {"rows": 1, "cols": 1, "data": [[1.0]]}, layout)
+        with pytest.raises(ParseError, match=r"pair.json: data entries must be \[re, im\] pairs"):
             load_matrix(path)
-
+        path = write(tmp_path / "rows.json", {"cols": 1, "data": [[1.0, 0.0]]}, layout)
+        with pytest.raises(ParseError, match="rows.json: missing field 'rows'"):
+            load_matrix(path)
+        # float64 conversion alone would read true as 1.0 and "1.5" as 1.5.
+        for name, pair in (("string", ["x", 0.0]), ("null", [None, 0.0]),
+                           ("triple", [1.0, 0.0, 0.0]), ("boolean", [True, False]),
+                           ("mixed-boolean", [1.0, False]), ("numeric-string", ["1.5", 0.0])):
+            path = write(tmp_path / f"{name}.json", {"rows": 1, "cols": 1, "data": [pair]}, layout)
+            with pytest.raises(ParseError, match=f"{name}.json"):
+                load_matrix(path)
 
 
 @pytest.mark.parametrize("fields", [{"rows": True, "cols": 1}, {"rows": 1, "cols": True},
                                     {"rows": True, "cols": True},
                                     {"rows": 1, "cols": 1, "block_k": True}])
 def test_boolean_sizes_are_parse_errors(tmp_path, fields):
-    path = write(tmp_path / "bool.json", {**fields, "data": [[1.0, 0.0]]})
-    with pytest.raises(ParseError, match="bool.json"):
+    for layout in LAYOUTS:
+        path = write(tmp_path / "bool.json", {**fields, "data": [[1.0, 0.0]]}, layout)
+        with pytest.raises(ParseError, match="bool.json: field '(rows|cols|block_k)' must be"):
+            load_matrix(path)
+
+
+def compact_text(rows, cols, data, block_k=None):
+    """A file in save_matrix's layout, with ``data`` as raw text."""
+    head = f'{{"rows":{rows},"cols":{cols}' + ("" if block_k is None else f',"block_k":{block_k}')
+    return f'{head},"data":[{data}]}}\n'
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (compact_text(1, 1, "[1e999,0.0]"), ParseError, "non-finite entry in data"),
+    (compact_text(2, 3, ",".join(["[0.0,0.0]"] * 6), block_k=2), ShapeError,
+     "block_k=2 does not divide 2x3"),
+    (compact_text(100000, 100000, "[1.0,0.0]"), ShapeError,
+     r"data length 1 != rows\*cols = 10000000000"),
+    (compact_text(1, 1, "[1.0,0.0],"), ParseError, "invalid JSON at line 1"),
+    (compact_text(1, 1, "[1.0,0.0]") + "{", ParseError,
+     "invalid JSON at line 2: Extra data"),
+])
+def test_saved_layout_deviations_reach_the_json_error(tmp_path, text, error, message):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(error, match=message):
         load_matrix(path)
+
+
+def test_other_valid_layouts_load_bit_identically(tmp_path):
+    m = complex_normal_matrix(Xoshiro256StarStar(3), 60, 80)
+    m[0, 0] = -0.0
+    save_matrix(tmp_path / "m.json", m, block_k=20)
+    text = (tmp_path / "m.json").read_text()
+    obj = json.loads(text)
+    # Saved, this matrix is decoded in several slices; every other layout goes through json.loads.
+    assert len(text) > 2 * matrixio.SLICE_CHARS
+    for name, other in (("no-newline", text[:-1]), ("pretty", json.dumps(obj, indent=2)),
+                        ("reordered", json.dumps(dict(reversed(obj.items()))))):
+        (tmp_path / f"{name}.json").write_text(other)
+        loaded, block_k = load_matrix_meta(tmp_path / f"{name}.json")
+        assert block_k == 20
+        assert loaded.tobytes() == m.tobytes(), name
+
+
+@pytest.mark.parametrize("block_k", [None, 1])
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (1, matrixio.CHUNK_ENTRIES - 1),
+                                   (1, matrixio.CHUNK_ENTRIES), (1, matrixio.CHUNK_ENTRIES + 1),
+                                   (1, 3 * matrixio.CHUNK_ENTRIES + 5)])
+def test_save_matrix_writes_the_reference_bytes(tmp_path, shape, block_k):
+    m = complex_normal_matrix(Xoshiro256StarStar(7), *shape)
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    m.flat[:4] = np.asarray(extremes[:m.size]) + 1j * np.asarray(extremes[::-1][:m.size])
+    path = tmp_path / "m.json"
+    digest = save_matrix(path, m, block_k)
+    reference = (json.dumps(matrix_to_obj(m, block_k), separators=(",", ":")) + "\n").encode("ascii")
+    assert path.read_bytes() == reference
+    assert digest == hashlib.sha256(reference).hexdigest()
+    # The saved layout is decoded in slices, without the whole-file fallback.
+    assert matrixio._load_saved_layout(reference.decode("ascii")) is not None
+    loaded, loaded_k = load_matrix_meta(path)
+    assert loaded.tobytes() == m.tobytes() and loaded_k == block_k
+
+
+# The interpreter's own SHA-256 module: _sha2 on CPython 3.12 and later, _sha256 before.
+BUILTIN_SHA256 = next((name for name in ("_sha2", "_sha256") if importlib.util.find_spec(name)), None)
+
+
+@pytest.mark.skipif(BUILTIN_SHA256 is None, reason="the interpreter has no built-in SHA-256 module")
+def test_cli_process_never_loads_openssl(tmp_path):
+    """A gen process that writes files imports no _hashlib (hashlib's OpenSSL binding)."""
+    assert matrixio.sha256 is importlib.import_module(BUILTIN_SHA256).sha256
+    data = bytes(range(256)) * 1000
+    assert matrixio.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    src = str(Path(opeq.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "opeq.cli", "gen",
+                           "--family", "sylvester-solvable", "--seed", "1", "--shape", "2,2,2,2,1",
+                           "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "C.json").exists()
+    # -X importtime logs one line per import, the module name after the last "|".
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "opeq.matrixio" in imported
+    assert "_hashlib" not in imported
 
 
 def test_boolean_size_file_exit_1(tmp_path, capsys):

@@ -37,6 +37,19 @@ def test_diagnose_worked_unsolvable():
     assert diag.classical_residual == pytest.approx(1.0, abs=1e-14)
 
 
+def test_anomaly_away_from_a_rank_threshold():
+    """A small C N_B fails the range decision, measured against ||C N_B||, yet passes
+    the classical residual, measured against ||C||; neither operand is near a rank cutoff."""
+    rng = Xoshiro256StarStar(6)
+    a, b = ranked_matrix(rng, 4, 3, 2), ranked_matrix(rng, 3, 4, 2)
+    x, y, e = (complex_normal_matrix(rng, *shape) for shape in ((3, 4), (4, 3), (4, 4)))
+    c = a @ x + y @ b + 1e-9 * e
+    diag = diagnose_ax_yb(a, b, c)
+    assert not diag.solvable and diag.anomaly
+    assert 1e-8 < diag.cond_range_cnb.residual < 1e-7
+    assert 1e-9 < diag.classical_residual / np.linalg.norm(c) < 1e-8
+
+
 def test_diagnose_zero_rhs_trivially_solvable():
     assert diagnose_ax_yb(A2, B2, np.zeros((2, 2))).solvable
 

@@ -6,6 +6,10 @@ the answer.  Exit codes: 0 the equation is solved or the property holds,
 2 the instance is diagnosed unsolvable, that is a necessary condition
 fails (the certificate is still printed), 1 usage or input errors,
 violated solver hypotheses and failed certificates (printed first).
+
+``solve`` and ``diagnose`` have a subcommand per :data:`opeq.harness.EQUATIONS`
+entry, its operands as matrix flags and ``--seed`` where it declares free
+parameters; ``intersect``'s matrix flags come from its shape signature.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import congruence, harness
 from .exceptions import NotASolution, NotSolvable, OpeqError
-from .kernel import DEFAULT_TOL, ToleranceConfig, factor, fro
+from .kernel import DEFAULT_TOL, ToleranceConfig, factor, fro, parse_signature
 from .matrixio import load_matrix, matrix_to_obj, save_matrix
 from .projections import RangeDecision
 
@@ -196,11 +200,9 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_solve(args) -> int:
     eq = harness.EQUATIONS[args.equation]
-    if args.B is None and "B" in eq.operands:
-        raise _UsageError("--B is required for this equation")
     tol = _tol(args)
     ops = {name: load_matrix(getattr(args, name)) for name in eq.operands}
-    solution, fields = eq.solve(ops, tol, args.seed)
+    solution, fields = eq.solve(ops, tol, getattr(args, "seed", None))
     cert = harness.verify(args.equation, ops, solution, tol)
     mats = {name: solution[name] for name in eq.unknowns}
     written = _write_matrices(args.out, mats)
@@ -261,9 +263,7 @@ def _parse_ranks(text):
 
 def _cmd_gen(args) -> int:
     shape = tuple(int(v) for v in args.shape.split(","))
-    params = {}
-    if args.lam is not None:
-        params["lam"] = args.lam
+    params = {} if args.lam is None else {"lam": args.lam}
     spec = harness.InstanceSpec(seed=args.seed, family=args.family, shape=shape,
                                 ranks=_parse_ranks(args.ranks), params=params)
     out = harness.generate(spec)
@@ -296,10 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "finite-dimensional Hilbert C*-modules.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, summary, tols=True, out=False):
-        # Each subcommand takes only the flags it reads: every one prints a report,
-        # all but gen decide ranks, and solve, intersect and gen write matrix files.
-        p = sub.add_parser(name, help=summary)
+    def command(parent, name, fn, summary, tols=True, out=False, signature=""):
+        # Each subcommand takes only the flags it reads: every one prints a report, all but
+        # gen decide ranks, three write matrix files, and each signature operand is a file.
+        p = parent.add_parser(name, help=summary)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="print the report as JSON")
         if tols:
@@ -309,27 +309,24 @@ def build_parser() -> argparse.ArgumentParser:
                            help="relative residual below which an equation or inclusion is accepted")
         if out:
             p.add_argument("--out", default=None, help="directory for the matrix files written")
+        for operand, _, _ in parse_signature(signature)[0]:
+            p.add_argument(f"--{operand}", required=True, help="matrix file")
         return p
 
-    p = command("diagnose", _cmd_diagnose, "solvability diagnosis with certificate")
-    p.add_argument("equation", choices=[tag for tag, eq in harness.EQUATIONS.items() if eq.diagnose])
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--C", required=True)
+    for name, fn, summary, out in (
+            ("diagnose", _cmd_diagnose, "solvability diagnosis with certificate", False),
+            ("solve", _cmd_solve, "solve one equation and certify the answer", True)):
+        tags = sub.add_parser(name, help=summary).add_subparsers(dest="equation", required=True)
+        for tag, eq in harness.EQUATIONS.items():
+            if name == "solve" or eq.diagnose is not None:
+                p = command(tags, tag, fn, eq.signature, out=out, signature=eq.signature)
+                if name == "solve" and eq.parameters is not None:
+                    p.add_argument("--seed", type=int, help="draw random free parameters")
 
-    p = command("solve", _cmd_solve, "solve one equation and certify the answer", out=True)
-    p.add_argument("equation", choices=list(harness.EQUATIONS))
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", default=None)
-    p.add_argument("--C", required=True)
-    p.add_argument("--seed", type=int, default=None,
-                   help="draw random homogeneous parameters (sylvester only)")
+    command(sub, "intersect", _cmd_intersect, "range intersection with PSD blocks", out=True,
+            signature=congruence.INTERSECTION_SIGNATURE)
 
-    p = command("intersect", _cmd_intersect, "range intersection with PSD blocks", out=True)
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-
-    p = command("gen", _cmd_gen, "generate a seeded instance family", tols=False, out=True)
+    p = command(sub, "gen", _cmd_gen, "generate a seeded instance family", tols=False, out=True)
     p.add_argument("--family", required=True, choices=list(harness.FAMILIES))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--shape", default="6,5,4,3,1", help="m,n,p,q,k block dimensions")
@@ -337,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=None,
                    help="scale factor for the scaled-equality family")
 
-    p = command("demo", _cmd_demo, "built-in demonstrations")
+    p = command(sub, "demo", _cmd_demo, "built-in demonstrations")
     p.add_argument("name", choices=["truncated-shift"])
     p.add_argument("--n", type=int, default=10)
 

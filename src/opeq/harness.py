@@ -56,8 +56,8 @@ class InstanceSpec:
     ``shape`` is (m, n, p, q, k); the block size k scales every dimension,
     so matrices stay valid module operators for k > 1.  Families ignore the
     dimensions they do not use.  ``ranks`` overrides per-operator rank
-    targets; ``params`` carries family knobs such as ``lam`` for the
-    scaled-equality family.
+    targets and ``params`` sets family knobs such as the scaled-equality
+    ``lam``; :func:`generate` rejects a name the family does not read.
     """
 
     seed: int
@@ -113,11 +113,12 @@ def generate(spec: InstanceSpec) -> dict:
     """Generate the named operator set for ``spec``; deterministic in the seed."""
     if spec.family not in FAMILIES:
         raise InfeasibleSpec(f"unknown family {spec.family!r}; known: {', '.join(FAMILIES)}")
-    build, rank_names = _BUILDERS[spec.family]
-    unread = sorted(set(spec.ranks) - set(rank_names))
-    if unread:
-        raise InfeasibleSpec(f"family {spec.family} has no rank target {', '.join(unread)}; "
-                             f"known: {', '.join(rank_names)}")
+    build, *declared = _BUILDERS[spec.family]
+    for what, given, known in zip(("rank target", "parameter"), (spec.ranks, spec.params), declared):
+        unread = sorted(set(given) - set(known))
+        if unread:
+            raise InfeasibleSpec(f"family {spec.family} has no {what} {', '.join(unread)}; "
+                                 f"known: {', '.join(known) or 'none'}")
     return build(spec, Xoshiro256StarStar(spec.seed))
 
 
@@ -238,15 +239,15 @@ def _gen_congruence(spec: InstanceSpec, rng) -> dict:
     return {"A": a, "B": b, "C": c}
 
 
-# Each family's builder and the rank targets it reads.
+# Each family's builder and the rank targets and parameters it reads.
 _BUILDERS = {
-    "sylvester-solvable": (_gen_sylvester, ("A", "B", "X0", "Y0")),
-    "sylvester-unsolvable": (_gen_sylvester, ("A", "B", "X0", "Y0")),
-    "orthogonal-pair": (_gen_orthogonal, ("A", "B")),
-    "congruence-solvable": (_gen_congruence, ("A", "B")),
-    "congruence-criterion-violating": (_gen_congruence, ("A", "B")),
-    "equal-range-pair": (_gen_equal_range, ("A",)),
-    "scaled-equality-pair": (_gen_scaled_equality, ("A",)),
+    "sylvester-solvable": (_gen_sylvester, ("A", "B", "X0", "Y0"), ()),
+    "sylvester-unsolvable": (_gen_sylvester, ("A", "B", "X0", "Y0"), ()),
+    "orthogonal-pair": (_gen_orthogonal, ("A", "B"), ()),
+    "congruence-solvable": (_gen_congruence, ("A", "B"), ()),
+    "congruence-criterion-violating": (_gen_congruence, ("A", "B"), ()),
+    "equal-range-pair": (_gen_equal_range, ("A",), ()),
+    "scaled-equality-pair": (_gen_scaled_equality, ("A",), ("lam",)),
 }
 FAMILIES = tuple(_BUILDERS)
 
@@ -459,17 +460,18 @@ class Equation:
     ``operands`` and ``unknowns`` are the signature's names (see
     :func:`~opeq.kernel.shaped`).  ``solve(operators, tol, seed)`` returns the
     solution dict that :func:`verify` reads (its unknowns are the solution files)
-    and the report fields :func:`verify` does not compute; ``seed``, where used,
-    draws the free parameters.  ``verify`` takes the checked operands, unknowns and
-    tol, and returns the residuals of the answer and, per check, whether it failed.
-    ``diagnose(operators, tol)``, None for an equation without a separate
-    diagnosis, returns the diagnosis and the report fields that precede it.
+    and the report fields :func:`verify` does not compute; ``seed`` draws the free
+    parameters, of shape signature ``parameters`` (None where no seed is read).  ``verify``
+    takes the checked operands, unknowns and tol, and returns the residuals of the answer
+    and, per check, whether it failed.  ``diagnose(operators, tol)``, None for an equation
+    without a separate diagnosis, returns the diagnosis and the report fields before it.
     """
 
     signature: str
     solve: Callable
     verify: Callable
     diagnose: Callable | None = None
+    parameters: str | None = None
     operands: tuple = field(init=False)
     unknowns: tuple = field(init=False)
 
@@ -481,7 +483,8 @@ class Equation:
 
 EQUATIONS = {
     "douglas": Equation(douglas.SIGNATURE, _solve_douglas, _verify_douglas),
-    "sylvester": Equation(sylvester.SIGNATURE, _solve_sylvester, _verify_sylvester, _diagnose_sylvester),
+    "sylvester": Equation(sylvester.SIGNATURE, _solve_sylvester, _verify_sylvester, _diagnose_sylvester,
+                          parameters=sylvester.PARAMETER_SIGNATURE),
     "orthogonal": Equation(sylvester.ORTHOGONAL_SIGNATURE, _solve_orthogonal, _verify_orthogonal),
     "congruence": Equation(congruence.SIGNATURE, _solve_congruence, _verify_congruence,
                            _diagnose_congruence),

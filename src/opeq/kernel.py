@@ -66,7 +66,8 @@ ZERO_REL = 1e-10
 
 # psd_sqrt's thresholds, relative to ||m||_2 or its ``scale``: the eigenvalue dust it clamps to zero
 # runs from -PSD_DUST_REL up to PSD_CUT_REL (below any meaningful eigenvalue, above eigh roundoff),
-# or up to PSD_DUST_REL given a ``scale``.  PSD_DUST_REL also bounds the Hermitian defect.
+# or up to PSD_DUST_REL given a ``scale``.  PSD_DUST_REL also bounds the Hermitian defect, relative
+# to ||m||_F or the ``scale`` with no absolute floor, so a common scaling of m changes no verdict.
 PSD_DUST_REL = 1e-10
 PSD_CUT_REL = 1e-12
 
@@ -249,7 +250,7 @@ def psd_sqrt(m, scale: float | None = None) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise NotPSD(f"matrix of shape {m.shape} is not square")
     defect = float(np.linalg.norm(m - m.conj().T))
-    if defect > PSD_DUST_REL * max(fro(m), 1.0):
+    if defect > PSD_DUST_REL * max(fro(m), scale or 0.0):
         raise NotPSD(f"matrix is not Hermitian (defect {defect:.3e})")
     w, q = np.linalg.eigh(m)
     norm2 = max(abs(w[0]), abs(w[-1]))

@@ -144,6 +144,8 @@ def load_matrix_meta(path):
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not ASCII text: {exc}") from exc
     loaded = _load_saved_layout(text)
     if loaded is not None:
         return loaded
@@ -151,6 +153,8 @@ def load_matrix_meta(path):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     return obj_to_matrix(obj, where=str(path))
 
 

@@ -131,6 +131,21 @@ def test_saved_layout_deviations_reach_the_json_error(tmp_path, text, error, mes
         load_matrix(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    (compact_text(1, 1, "[" * 100000 + "]" * 100000), "JSON nested too deeply"),
+    ('{"rows": 1, "cols": 1, "data": ' + "[" * 100000 + "]" * 100000 + "}", "JSON nested too deeply"),
+    (compact_text(1, 1, "[1.0,0.0]") + "\u00e9", "not ASCII text"),
+], ids=["compact-deep", "spaced-deep", "non-ascii"])
+def test_deep_or_non_ascii_files_are_parse_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"m.json: {message}"):
+        load_matrix(path)
+    assert run_command(["solve", "douglas", "--A", str(path), "--C", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: {path}: {message}") and err.count("\n") == 1
+
+
 def test_other_valid_layouts_load_bit_identically(tmp_path):
     m = complex_normal_matrix(Xoshiro256StarStar(3), 60, 80)
     m[0, 0] = -0.0
@@ -277,11 +292,19 @@ def test_usage_error_exit_1(capsys):
     assert run_command([]) == 1
 
 
+# The operand flags of each equation tag, on files that need not exist: parsing fails first.
+OPERAND_FLAGS = {tag: [arg for name in eq.operands for arg in (f"--{name}", f"{name}.json")]
+                 for tag, eq in harness.EQUATIONS.items()}
+
+
 @pytest.mark.parametrize("argv", [
     ["diagnose", "sylvester", "--A", "A.json", "--B", "B.json", "--C", "C.json", "--out", "d"],
     ["demo", "truncated-shift", "--out", "d"],
     ["gen", "--family", "sylvester-solvable", "--seed", "0", "--tol-rank", "0.5"],
     ["gen", "--family", "sylvester-solvable", "--seed", "0", "--tol-residual", "0.5"],
+    ["solve", "douglas", "--A", "A.json", "--C", "C.json", "--B", "x"],
+    *(["solve", tag, *OPERAND_FLAGS[tag], "--seed", "3"]
+      for tag in ("douglas", "orthogonal", "congruence", "congruence-cz")),
 ])
 def test_unread_flags_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     # Each subcommand takes only the flags it reads; the rest exit 1 unread.
@@ -373,6 +396,15 @@ def test_gen_rejects_infinite_lambda_before_writing(tmp_path, capsys):
                         "--lam", "inf", "--out", str(tmp_path)])
     assert code == 1
     assert "InfeasibleSpec" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("family", [f for f in harness.FAMILIES if f != "scaled-equality-pair"])
+def test_gen_rejects_lam_where_the_family_reads_none(tmp_path, capsys, family):
+    code = run_command(["gen", "--family", family, "--seed", "0", "--lam", "2", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: InfeasibleSpec: family {family} has no parameter lam; "
+                                       "known: none\n")
     assert not any(tmp_path.iterdir())
 
 
@@ -546,11 +578,21 @@ SOLVABLE_FAMILY = {
 }
 
 
-def test_solve_choices_are_the_equation_table():
+def equation_parsers(command):
+    """The parser of each ``opeq <command> <tag>``, by tag."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    equation = next(a for a in sub.choices["solve"]._actions if a.dest == "equation")
-    assert set(equation.choices) == set(harness.EQUATIONS) == set(SOLVABLE_FAMILY)
-    for tag in equation.choices:
+    return next(a for a in sub.choices[command]._actions if a.dest == "equation").choices
+
+
+def test_solve_choices_are_the_equation_table():
+    parsers = equation_parsers("solve")
+    assert set(parsers) == set(harness.EQUATIONS) == set(SOLVABLE_FAMILY)
+    for tag, parser in parsers.items():
+        eq = harness.EQUATIONS[tag]
+        # The required flags are the operands; --seed exists where free parameters are declared.
+        assert [a.option_strings for a in parser._actions if a.required] == [
+            [f"--{name}"] for name in eq.operands]
+        assert ("--seed" in parser._option_string_actions) == (eq.parameters is not None)
         ops = harness.generate(harness.InstanceSpec(seed=2, family=SOLVABLE_FAMILY[tag]))
         ops.setdefault("C", ops["A"])  # equal-range-pair: R(A) ^ R(B) = R(A) = R(C)
         solution, _ = harness.EQUATIONS[tag].solve(ops, ToleranceConfig(), None)
@@ -572,10 +614,29 @@ def test_solve_report_fields_leave_measurement_to_verify(tag):
 
 
 def test_diagnose_choices_are_the_table_entries_with_a_diagnosis():
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    equation = next(a for a in sub.choices["diagnose"]._actions if a.dest == "equation")
+    parsers = equation_parsers("diagnose")
     with_diagnosis = [tag for tag, eq in harness.EQUATIONS.items() if eq.diagnose is not None]
-    assert equation.choices == with_diagnosis == ["sylvester", "congruence"]
+    assert list(parsers) == with_diagnosis == ["sylvester", "congruence"]
+    for tag, parser in parsers.items():
+        assert [a.option_strings for a in parser._actions if a.required] == [
+            [f"--{name}"] for name in harness.EQUATIONS[tag].operands]
+
+
+def test_an_equation_entry_alone_makes_its_subcommand(tmp_path, monkeypatch, capsys):
+    # Douglas's A X = C with the right-hand side named D, which nothing in the CLI names.
+    douglas = harness.EQUATIONS["douglas"]
+    toy = harness.Equation("A(m,p), D(m,n) -> X(p,n)",
+                           lambda ops, tol, seed: douglas.solve({"A": ops["A"], "C": ops["D"]}, tol, seed),
+                           douglas.verify)
+    monkeypatch.setitem(harness.EQUATIONS, "toy", toy)
+    parser = equation_parsers("solve")["toy"]
+    assert set(parser._option_string_actions) == {"-h", "--help", "--json", "--tol-rank",
+                                                  "--tol-residual", "--out", "--A", "--D"}
+    assert "toy" not in equation_parsers("diagnose")
+    files = save_instance(tmp_path, A=np.diag([1.0, 0.0]), D=np.diag([0.7, 0.0]))
+    assert run_command(["solve", "toy", "--A", files["A"], "--D", files["D"], "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "solve toy" and report["certificate"]["passed"]
 
 
 def assert_file_entry(entry, m):

@@ -165,6 +165,11 @@ def test_infeasible_specs_raise():
         generate(InstanceSpec(seed=0, family="scaled-equality-pair", params={"lam": -1.0}))
     with pytest.raises(InfeasibleSpec):
         generate(InstanceSpec(seed=0, family="scaled-equality-pair", params={"lam": float("inf")}))
+    with pytest.raises(InfeasibleSpec, match="has no parameter lam; known: none"):
+        # only the scaled-equality family reads lam
+        generate(InstanceSpec(seed=0, family="sylvester-solvable", params={"lam": 2.0}))
+    with pytest.raises(InfeasibleSpec, match="has no parameter mu; known: lam"):
+        generate(InstanceSpec(seed=0, family="scaled-equality-pair", params={"mu": 2.0}))
     with pytest.raises(InfeasibleSpec):
         generate(InstanceSpec(seed=0, family="congruence-solvable", shape=(2, 2, 2, 2, 1)))
 

@@ -179,6 +179,17 @@ def test_psd_sqrt_rejects_non_hermitian():
         psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("k", [-400, -200, -66, 0, 66, 200, 400])
+def test_psd_sqrt_verdict_is_scale_invariant(k):
+    # The Hermitian check is relative to ||m||, so a common scaling 2^k changes no verdict.
+    with pytest.raises(NotPSD):
+        psd_sqrt(2.0 ** k * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    m = np.array([[2.0, 1.0j], [-1.0j, 1.0]])
+    np.testing.assert_allclose(psd_sqrt(2.0 ** k * m), 2.0 ** (k // 2) * psd_sqrt(m), rtol=1e-13)
+    # With no absolute floor, the zero matrix passes only because its defect is exactly 0.
+    np.testing.assert_array_equal(psd_sqrt(np.zeros((2, 2))), np.zeros((2, 2)))
+
+
 def test_psd_sqrt_clamps_eigenvalue_dust():
     q = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     m = q @ np.diag([1.0, -1e-13]) @ q.conj().T

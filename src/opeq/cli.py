@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(parent, name, fn, summary, tols=True, out=False, signature=""):
         # Each subcommand takes only the flags it reads: every one prints a report, all but
         # gen decide ranks, three write matrix files, and each signature operand is a file.
-        p = parent.add_parser(name, help=summary)
+        p = parent.add_parser(name, help=summary, description=summary)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="print the report as JSON")
         if tols:
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         tags = sub.add_parser(name, help=summary).add_subparsers(dest="equation", required=True)
         for tag, eq in harness.EQUATIONS.items():
             if name == "solve" or eq.diagnose is not None:
-                p = command(tags, tag, fn, eq.signature, out=out, signature=eq.signature)
+                p = command(tags, tag, fn, eq.formula, out=out, signature=eq.signature)
                 if name == "solve" and eq.parameters is not None:
                     p.add_argument("--seed", type=int, help="draw random free parameters")
 

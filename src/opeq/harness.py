@@ -8,8 +8,10 @@ xoshiro256** stream (see :mod:`opeq.rng`).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -264,17 +266,11 @@ class Certificate:
 
 def verify(equation: str, operators: dict, solution: dict,
            tol: ToleranceConfig = DEFAULT_TOL) -> Certificate:
-    """Recompute the defining residual of a solution and the properties the answer must have.
+    """Certify a solution: its backward error in the equation's formula, then the answer's own properties.
 
-    Known tags, the keys of :data:`EQUATIONS`: ``douglas`` (A X = C, X
-    reduced), ``sylvester`` (A X + Y B = C), ``orthogonal`` (A X + B Y = C),
-    ``congruence`` (A X A* + B Y B* = C) and ``congruence-cz``
-    (A X A* + B Y B* = C Z with X, Y PSD, all nonzero).  Only the answer is
-    certified: solvability criteria and the hypotheses of a construction
-    are properties of the instance, decided by the diagnoses and enforced
-    by the solvers, and no check here depends on them.  Operands and
-    unknowns are checked against the equation's shape signature first;
-    :class:`MissingMatrix` names every one absent from the dicts.
+    ``equation`` is a key of :data:`EQUATIONS`.  Only the answer is certified: the instance's solvability
+    and hypotheses are decided by the diagnoses and enforced by the solvers.  Operands and unknowns are
+    checked against the shape signature first; :class:`MissingMatrix` names every one absent.
     """
     tag = equation.strip().lower()
     if tag not in EQUATIONS:
@@ -286,55 +282,51 @@ def verify(equation: str, operators: dict, solution: dict,
         raise MissingMatrix(f"{tag}: missing {', '.join(missing)}")
     mats = shaped(eq.signature, *(operators[name] for name in eq.operands),
                   *(solution[name] for name in eq.unknowns))
-    residuals, failed = eq.verify(*mats, tol)
+    error = _backward_error(eq.terms, dict(zip(eq.operands + eq.unknowns, mats)))
+    residuals, failed = eq.verify(*mats, tol) if eq.verify else ({}, {})
+    failed = {"equation": not error <= tol.residual_rel, **failed}
     failures = tuple(name for name, bad in failed.items() if bad)
-    return Certificate(equation=tag, residuals=residuals, passed=not failures, failures=failures)
+    return Certificate(tag, {"equation": error, **residuals}, not failures, failures)
+
+
+def _backward_error(terms: tuple, mats: dict) -> float:
+    """||sum of the signed terms||_F over the sum of their factor-norm products (Rigal-Gaches, Higham).
+
+    0.0 for an exactly zero sum; NaN, which fails, for any other sum over a zero or overflowed scale."""
+    norms = {name: fro(m) for name, m in mats.items()}
+    total, scale = 0.0, 0.0
+    for sign, factors in terms:
+        product = reduce(np.matmul, (dagger(mats[n]) if adjoint else mats[n] for n, adjoint in factors))
+        total = total + product if sign > 0 else total - product
+        scale += math.prod(norms[n] for n, _ in factors)
+    residual = fro(total)
+    return residual / scale if 0.0 < scale < math.inf else (math.nan if residual else 0.0)
 
 
 def _verify_douglas(a, c, x, tol):
     fa = factor(a, tol)
-    residuals, failed = _douglas_certificate(a, c, x, fa.norm, tol)
+    residuals, failed = _douglas_certificate(a, c, x, fa.norm)
     residuals["reducedness"] = fro(fa.adjoint().n_astar(x)) / max(fro(x), 1e-300)
     failed["reducedness"] = not residuals["reducedness"] <= ZERO_REL
     return residuals, failed
 
 
-def _douglas_certificate(t, c, x, t_norm, tol):
-    """``equation``, ``lambda`` = ||X||_2^2 and the gap certifying C C* <= lambda T T* of T X = C."""
+def _douglas_certificate(t, c, x, t_norm):
+    """``lambda`` = ||X||_2^2 and the gap certifying C C* <= lambda T T* of T X = C."""
     norm_x = spectral_norm(x)  # squares as products: past the double range they give inf, ** 2 raises
     lam = norm_x * norm_x
-    residuals = {
-        "equation": fro(t @ x - c) / max(fro(c), 1e-300),
-        "lambda": lam,
-        "majorization_gap": majorization_gap(lam, t @ dagger(t), c, t_norm * t_norm),
-    }
-    return residuals, {
-        "equation": not residuals["equation"] <= tol.residual_rel,
-        "majorization_gap": not residuals["majorization_gap"] >= -MAJORIZATION_SLACK,
-    }
-
-
-def _verify_sylvester(a, b, c, x, y, tol):
-    residual = fro(a @ x + y @ b - c) / max(fro(c), 1e-300)
-    return {"equation": residual}, {"equation": not residual <= tol.residual_rel}
+    gap = majorization_gap(lam, t @ dagger(t), c, t_norm * t_norm)
+    return {"lambda": lam, "majorization_gap": gap}, {"majorization_gap": not gap >= -MAJORIZATION_SLACK}
 
 
 def _verify_orthogonal(a, b, c, x, y, tol):
     # A X + B Y = C is T [X; Y] = C for T = [A B], and T T* = A A* + B B*.
     t = np.hstack([a, b])
-    return _douglas_certificate(t, c, np.vstack([x, y]), spectral_norm(t), tol)
-
-
-def _verify_congruence(a, b, c, x, y, tol):
-    residual = fro(a @ x @ dagger(a) + b @ y @ dagger(b) - c) / max(fro(c), 1e-300)
-    return {"equation": residual}, {"equation": not residual <= tol.residual_rel}
+    return _douglas_certificate(t, c, np.vstack([x, y]), spectral_norm(t))
 
 
 def _verify_congruence_cz(a, b, c, x, y, z, tol):
-    lhs = a @ x @ dagger(a) + b @ y @ dagger(b)
-    scale = max(fro(lhs), fro(c @ z), 1e-300)
-    residuals = {"equation": fro(lhs - c @ z) / scale}
-    failed = {"equation": not residuals["equation"] <= tol.residual_rel}
+    residuals, failed = {}, {}
     spectra = {name: np.linalg.eigvalsh((m + dagger(m)) / 2.0) for name, m in (("x", x), ("y", y))}
     # ||Herm(X)||_2 is ||X||_2 within the Hermitian defect, which x_psd bounds.
     norms = {name: float(np.abs(w).max(initial=0.0)) for name, w in spectra.items()}
@@ -455,38 +447,46 @@ def _diagnose_congruence(ops, tol):
 
 @dataclass(frozen=True)
 class Equation:
-    """One equation: its shape signature, solve, :func:`verify` and diagnose adapters.
+    """One equation: its shape signature, formula, and solve, :func:`verify` and diagnose adapters.
 
-    ``operands`` and ``unknowns`` are the signature's names (see
-    :func:`~opeq.kernel.shaped`).  ``solve(operators, tol, seed)`` returns the
-    solution dict that :func:`verify` reads (its unknowns are the solution files)
-    and the report fields :func:`verify` does not compute; ``seed`` draws the free
-    parameters, of shape signature ``parameters`` (None where no seed is read).  ``verify``
-    takes the checked operands, unknowns and tol, and returns the residuals of the answer
-    and, per check, whether it failed.  ``diagnose(operators, tol)``, None for an equation
-    without a separate diagnosis, returns the diagnosis and the report fields before it.
+    ``formula`` writes the equation in the signature's ``operands`` and ``unknowns`` (``A*`` is A's
+    adjoint); ``terms`` holds its products, (sign, ((name, adjoint), ...)), -1 right of ``=``.
+    ``solve(operators, tol, seed)`` returns the solution :func:`verify` reads and the other report fields,
+    ``seed`` drawing the free parameters of shape signature ``parameters``.  ``verify(*operands,
+    *unknowns, tol)``, None where the formula says all, gives the residuals and failures of the answer's
+    other properties; ``diagnose(operators, tol)``, None if absent, the diagnosis and its report fields.
     """
 
     signature: str
+    formula: str
     solve: Callable
-    verify: Callable
+    verify: Callable | None
     diagnose: Callable | None = None
     parameters: str | None = None
     operands: tuple = field(init=False)
     unknowns: tuple = field(init=False)
+    terms: tuple = field(init=False)
 
     def __post_init__(self):
         # Derived once here: a per-call parse would cost every verify.
         for side, entries in zip(("operands", "unknowns"), parse_signature(self.signature)):
             object.__setattr__(self, side, tuple(name for name, _, _ in entries))
+        lhs, _, rhs = self.formula.partition("=")
+        terms = tuple((sign, tuple((token.removesuffix("*"), token.endswith("*")) for token in term.split()))
+                      for sign, side in ((1, lhs), (-1, rhs)) for term in side.split("+"))
+        if not all(f and {n for n, _ in f} <= {*self.operands, *self.unknowns} for _, f in terms):
+            raise ValueError(f"malformed formula {self.formula!r} for {self.signature!r}")
+        object.__setattr__(self, "terms", terms)
 
 
 EQUATIONS = {
-    "douglas": Equation(douglas.SIGNATURE, _solve_douglas, _verify_douglas),
-    "sylvester": Equation(sylvester.SIGNATURE, _solve_sylvester, _verify_sylvester, _diagnose_sylvester,
-                          parameters=sylvester.PARAMETER_SIGNATURE),
-    "orthogonal": Equation(sylvester.ORTHOGONAL_SIGNATURE, _solve_orthogonal, _verify_orthogonal),
-    "congruence": Equation(congruence.SIGNATURE, _solve_congruence, _verify_congruence,
+    "douglas": Equation(douglas.SIGNATURE, "A X = C", _solve_douglas, _verify_douglas),
+    "sylvester": Equation(sylvester.SIGNATURE, "A X + Y B = C", _solve_sylvester, None, _diagnose_sylvester,
+                          sylvester.PARAMETER_SIGNATURE),
+    "orthogonal": Equation(sylvester.ORTHOGONAL_SIGNATURE, "A X + B Y = C", _solve_orthogonal,
+                           _verify_orthogonal),
+    "congruence": Equation(congruence.SIGNATURE, "A X A* + B Y B* = C", _solve_congruence, None,
                            _diagnose_congruence),
-    "congruence-cz": Equation(congruence.CZ_SIGNATURE, _solve_congruence_cz, _verify_congruence_cz),
+    "congruence-cz": Equation(congruence.CZ_SIGNATURE, "A X A* + B Y B* = C Z", _solve_congruence_cz,
+                              _verify_congruence_cz),
 }

@@ -180,16 +180,16 @@ class Factorization:
         return self.u @ (self.u.conj().T @ c)
 
     def n_astar(self, c) -> np.ndarray:
-        """N_{A*} c = c - P_A c."""
-        return c - self.p_a(c)
+        """N_{A*} c = c - P_A c, exactly zero when rank A = rows, where c - P_A c is roundoff."""
+        return c - self.p_a(c) if self.rank < self.a.shape[0] else np.zeros_like(c, np.complex128)
 
     def right_p_astar(self, c) -> np.ndarray:
         """c P_{A*} = (c v) v*."""
         return (c @ self.v) @ self.v.conj().T
 
     def right_n_a(self, c) -> np.ndarray:
-        """c N_A = c - c P_{A*}."""
-        return c - self.right_p_astar(c)
+        """c N_A = c - c P_{A*}, exactly zero when rank A = cols."""
+        return c - self.right_p_astar(c) if self.rank < self.a.shape[1] else np.zeros_like(c, np.complex128)
 
     def pinv(self, c) -> np.ndarray:
         """A+ c = v diag(1/s) (u* c)."""

@@ -229,6 +229,19 @@ def test_solve_sylvester_exit_codes(tmp_path, capsys):
     assert report["certificate"]["residuals"]["equation"] <= 1e-12
 
 
+SINGULAR, INJECTIVE, ZERO = [[1.0, 2.0], [2.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], np.zeros((2, 2))
+
+
+@pytest.mark.parametrize("a, b, seed", [(SINGULAR, SINGULAR, 0), *((INJECTIVE, ZERO, s) for s in range(6))],
+                         ids=["singular-0", *(f"injective-{s}" for s in range(6))])
+def test_seeded_sylvester_solutions_at_c_zero_exit_0(tmp_path, capsys, a, b, seed):
+    files = save_instance(tmp_path, A=a, B=b, C=ZERO)
+    code = run_command(["solve", "sylvester", "--A", files["A"], "--B", files["B"], "--C", files["C"],
+                        "--seed", str(seed), "--json"])
+    assert json.loads(capsys.readouterr().out)["certificate"]["passed"]
+    assert code == 0
+
+
 def test_diagnose_sylvester_unsolvable_exit_2(tmp_path, capsys):
     files = save_instance(tmp_path, A=np.diag([1.0, 0.0]), B=np.diag([1.0, 0.0]),
                           C=np.diag([0.0, 1.0]))
@@ -622,10 +635,19 @@ def test_diagnose_choices_are_the_table_entries_with_a_diagnosis():
             [f"--{name}"] for name in harness.EQUATIONS[tag].operands]
 
 
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_subcommand_help_shows_the_formula(capsys, command):
+    assert run_command([command, "--help"]) == 0
+    listing = capsys.readouterr().out
+    for tag, parser in equation_parsers(command).items():
+        formula = harness.EQUATIONS[tag].formula
+        assert f"{tag} " in listing and formula in listing and parser.description == formula
+
+
 def test_an_equation_entry_alone_makes_its_subcommand(tmp_path, monkeypatch, capsys):
     # Douglas's A X = C with the right-hand side named D, which nothing in the CLI names.
     douglas = harness.EQUATIONS["douglas"]
-    toy = harness.Equation("A(m,p), D(m,n) -> X(p,n)",
+    toy = harness.Equation("A(m,p), D(m,n) -> X(p,n)", "A X = D",
                            lambda ops, tol, seed: douglas.solve({"A": ops["A"], "C": ops["D"]}, tol, seed),
                            douglas.verify)
     monkeypatch.setitem(harness.EQUATIONS, "toy", toy)

@@ -22,7 +22,8 @@ from opeq import (
     solve_ax_by_orthogonal,
     verify,
 )
-from opeq.harness import EQUATIONS, ranked_matrix, random_unitary
+from opeq.harness import EQUATIONS, Equation, ranked_matrix, random_unitary
+from opeq.kernel import parse_signature
 from opeq.rng import Xoshiro256StarStar, _splitmix64_fill, complex_normal_matrix
 
 
@@ -387,12 +388,70 @@ def test_verify_measures_the_orthogonal_lambda():
 
 
 def test_known_solution_checks_take_verify_verdict():
-    # At C = 0 any residual is relative to ||C|| = 0, so 1e-9 I is no solution.
+    # The residual is 1e-3 I: backward errors of 3.5e-4 and 2.5e-4, and infinite relative to ||C|| = 0.
     eye, zero = np.eye(2), np.zeros((2, 2))
-    y_near = (-1.0 + 1e-9) * eye
+    y_near = (-1.0 + 1e-3) * eye
     assert not verify("sylvester", {"A": eye, "B": eye, "C": zero}, {"X": eye, "Y": y_near}).passed
     with pytest.raises(NotASolution, match="equation failed"):
         completeness_witness(eye, eye, zero, eye, y_near)
     assert not verify("congruence", {"A": eye, "B": eye, "C": zero}, {"X": eye, "Y": y_near}).passed
     with pytest.raises(NotASolution, match="equation failed"):
         solvability_necessity_check(eye, eye, zero, eye, y_near)
+
+
+def test_formulas_agree_with_their_signatures():
+    for tag, eq in EQUATIONS.items():
+        operands, unknowns = parse_signature(eq.signature)
+        shapes = {name: (rows, cols) for name, rows, cols in operands + unknowns}
+        assert {name for _, factors in eq.terms for name, _ in factors} == set(shapes), tag
+        assert {sign for sign, _ in eq.terms} == {1, -1}, tag
+        outer = set()
+        for _, factors in eq.terms:
+            dims = [shapes[name][::-1] if adjoint else shapes[name] for name, adjoint in factors]
+            assert all(left[1] == right[0] for left, right in zip(dims, dims[1:])), (tag, factors)
+            outer.add((dims[0][0], dims[-1][1]))
+        assert len(outer) == 1, tag
+
+
+@pytest.mark.parametrize("formula", ["A X", "A X = C = C", "A X + = C", "A X =", "A X = D", "A** X = C",
+                                     "A X = C*X"])
+def test_malformed_formula_raises_at_construction(formula):
+    eq = EQUATIONS["douglas"]
+    with pytest.raises(ValueError, match="malformed formula"):
+        Equation(eq.signature, formula, eq.solve, eq.verify)
+
+
+def test_backward_error_guards():
+    zero = np.zeros((2, 2))
+    # 0 / 0: every matrix is zero, so the formula holds exactly.
+    cert = verify("sylvester", {"A": zero, "B": zero, "C": zero}, {"X": zero, "Y": zero})
+    assert cert.passed and cert.residuals["equation"] == 0.0
+    # ||A||^2 ||X|| overflows while A X A* = 0: a nonzero residual over an infinite scale fails
+    # closed ...
+    ops = {"A": np.diag([1e150, 0.0]), "B": zero, "C": np.diag([1.0, 0.0])}
+    sol = {"X": np.diag([0.0, 1e150]), "Y": zero}
+    cert = verify("congruence", ops, sol)
+    assert np.isnan(cert.residuals["equation"]) and cert.failures == ("equation",)
+    # ... and an exactly zero one passes.
+    cert = verify("congruence", {**ops, "C": zero}, sol)
+    assert cert.passed and cert.residuals["equation"] == 0.0
+
+
+def test_seeded_general_solution_at_c_zero_is_certified():
+    # Scaled by max(||C||, 1e-300), this answer's roundoff read 4.4e285.
+    a = np.array([[1.0, 2.0], [2.0, 4.0]])
+    ops = {"A": a, "B": a, "C": np.zeros((2, 2))}
+    solution, _ = EQUATIONS["sylvester"].solve(ops, DEFAULT_TOL, 0)
+    cert = verify("sylvester", ops, solution)
+    assert cert.passed and cert.residuals["equation"] <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_injective_a_leaves_no_homogeneous_x(seed):
+    # N_A = 0, so X = N_A W1 is exactly zero rather than dust with ||A X|| / (||A|| ||X||) = O(1).
+    zero = np.zeros((2, 2))
+    ops = {"A": np.array([[1.0, 2.0], [3.0, 4.0]]), "B": zero, "C": zero}
+    solution, _ = EQUATIONS["sylvester"].solve(ops, DEFAULT_TOL, seed)
+    assert not solution["X"].any() and solution["Y"].any()
+    cert = verify("sylvester", ops, solution)
+    assert cert.passed and cert.residuals["equation"] == 0.0

@@ -230,3 +230,16 @@ def test_as_matrix_rejects_bad_input():
 def test_as_matrix_raises_invalid_matrix(bad):
     with pytest.raises(InvalidMatrix):
         as_matrix(bad)
+
+
+def test_complements_of_a_full_rank_side_are_exact_zeros():
+    # N_{A*} vanishes when A is onto and N_A when A is injective; computed as
+    # c - P c, either would be roundoff dust instead.
+    rng = Xoshiro256StarStar(42)
+    wide, tall = factor(ranked_matrix(rng, 3, 5, 3)), factor(ranked_matrix(rng, 5, 3, 3))
+    left, right = complex_normal_matrix(rng, 3, 2), complex_normal_matrix(rng, 2, 3)
+    for zero, shape in ((wide.n_astar(left), (3, 2)), (tall.right_n_a(right), (2, 3))):
+        assert not zero.any() and zero.shape == shape and zero.dtype == np.complex128
+    # The other side keeps its kernel part.
+    assert np.linalg.norm(wide.right_n_a(complex_normal_matrix(rng, 2, 5))) > 0.1
+    assert np.linalg.norm(tall.n_astar(complex_normal_matrix(rng, 5, 2))) > 0.1

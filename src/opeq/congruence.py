@@ -18,7 +18,8 @@ from .exceptions import (
     IntersectionNotInRangeC,
     NotSolvable,
 )
-from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, psd_sqrt, shaped
+from .kernel import (DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, psd_sqrt, relative,
+                     shaped)
 from .projections import RangeDecision, inclusion
 
 __all__ = [
@@ -44,8 +45,8 @@ INTERSECTION_SIGNATURE = "A(m,p), B(m,q)"
 class CongruenceDiagnosis:
     """Hypotheses and solvability criteria for A X A* + B Y B* = C.
 
-    Hypotheses: R(C) in R(B), R(C*) in R(A), and R(C* P_A) in N(B*), the
-    last one measured by ``hyp_cstar_pa_in_nbstar`` = ||B* C* P_A||_F.
+    Hypotheses: R(C) in R(B), R(C*) in R(A), and R(C* P_A) in N(B*), the last held when
+    ``hyp_cstar_pa_in_nbstar`` = ||B* C* P_A||_F, relative to ||B||_2 ||C||_F, is at most ``residual_rel``.
     Criteria (necessary and, under the hypotheses, sufficient):
     R(C N_{B*}) in R(A) and R(C N_{A*}) in R(B), i.e. N_{A*} C N_{B*} = 0 = N_{B*} C N_{A*}.
     """
@@ -85,7 +86,7 @@ def _diagnose(fa: Factorization, fb: Factorization, c, tol) -> CongruenceDiagnos
     hyp_c_in_b = inclusion(c, fb, tol)
     hyp_cstar_in_a = inclusion(dagger(c), fa, tol)
     hyp3 = fro(fa.adjoint().right_p_astar(dagger(fb.a) @ dagger(c)))
-    hyp3_ok = hyp3 <= tol.residual_rel * max(fb.norm * fro(c), 1e-300)
+    hyp3_ok = relative(hyp3, fb.norm * fro(c)) <= tol.residual_rel
     cond1, cond2 = _criteria(fa, fb, c, tol)
     hypotheses_hold = hyp_c_in_b.holds and hyp_cstar_in_a.holds and hyp3_ok
     return CongruenceDiagnosis(
@@ -227,7 +228,7 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
     fs = factor(np.hstack([a, b]), tol)
     pn_s_residual = fro(fs.adjoint().p_a(fs.right_n_a(proj)))
 
-    scale = max(fro(a) + fro(b), 1e-300)
+    scale = fro(a) + fro(b)
     sqrt_axa = psd_sqrt(a @ x_block @ dagger(a), scale=fa.norm * fa.norm)
     return IntersectionReport(
         x_block=x_block,
@@ -241,8 +242,8 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
         rank_b=fb.rank,
         rank_stacked=fs.rank,
         pn_s_residual=pn_s_residual,
-        ax_eq_bz_residual=fro(a @ x_block - b @ dagger(zstar)) / scale,
-        azstar_eq_by_residual=fro(a @ zstar - b @ y_block) / scale,
+        ax_eq_bz_residual=relative(fro(a @ x_block - b @ dagger(zstar)), scale),
+        azstar_eq_by_residual=relative(fro(a @ zstar - b @ y_block), scale),
         sqrt_range_in_basis=inclusion(sqrt_axa, factor(basis, tol), tol),
     )
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import HypothesisViolated, RangeNotContained, ToleranceAnomaly
 from .kernel import (DEFAULT_TOL, Factorization, ToleranceConfig, as_matrix, dagger, factor, fro, psd_sqrt,
-                     shaped, spectral_norm)
+                     relative, shaped, spectral_norm)
 from .projections import RangeDecision, inclusion, range_equal
 
 __all__ = [
@@ -94,7 +94,7 @@ def majorization_gap(lam: float, gram, c, gram_norm: float) -> float:
     combo = lam * (1.0 + MAJORIZATION_SLACK) * gram - c @ dagger(c)
     if not np.abs(combo).max(initial=0.0) < np.inf:
         return float("nan")
-    return float(np.linalg.eigvalsh(combo).min(initial=0.0)) / max(gram_norm, 1e-300)
+    return relative(float(np.linalg.eigvalsh(combo).min(initial=0.0)), gram_norm)
 
 
 def solve_scaled_equality(a, c, lambda_in: float,
@@ -111,11 +111,10 @@ def solve_scaled_equality(a, c, lambda_in: float,
         raise HypothesisViolated(f"lambda must be positive and finite, got {lambda_in!r}")
     aa = a @ dagger(a)
     cc = c @ dagger(c)
-    defect = fro(cc - lambda_in * aa)
-    bound = tol.residual_rel * fro(aa) * lambda_in
-    if not defect <= bound:
+    defect = relative(fro(cc - lambda_in * aa), fro(aa) * lambda_in)
+    if not defect <= tol.residual_rel:
         raise HypothesisViolated(
-            f"C C* != lambda A A*: defect {defect:.3e} exceeds bound {bound:.3e}"
+            f"C C* != lambda A A*: relative defect {defect:.3e} exceeds {tol.residual_rel:g}"
         )
     fa = factor(a, tol)
     fwd, bwd = inclusion(c, fa, tol), inclusion(a, factor(c, tol), tol)

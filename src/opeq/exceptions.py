@@ -67,7 +67,7 @@ class UnknownEquationTag(OpeqError):
 
 
 class ToleranceAnomaly(OpeqError):
-    """A check the mathematics guarantees failed; only happens near a tolerance threshold."""
+    """A guaranteed check failed near a tolerance threshold, or a decision's scale overflowed or vanished."""
 
 
 class InfeasibleSpec(OpeqError):

@@ -18,8 +18,8 @@ import numpy as np
 from . import congruence, douglas, sylvester
 from .douglas import MAJORIZATION_SLACK, majorization_gap
 from .exceptions import InfeasibleSpec, MissingMatrix, NotASolution, ToleranceAnomaly, UnknownEquationTag
-from .kernel import (DEFAULT_TOL, ZERO_REL, ToleranceConfig, dagger, factor, fro, parse_signature, shaped,
-                     spectral_norm)
+from .kernel import (DEFAULT_TOL, ZERO_REL, ToleranceConfig, dagger, factor, fro, parse_signature, relative,
+                     shaped, spectral_norm)
 from .projections import RangeDecision
 from .rng import Xoshiro256StarStar, complex_normal_matrix
 
@@ -290,23 +290,21 @@ def verify(equation: str, operators: dict, solution: dict,
 
 
 def _backward_error(terms: tuple, mats: dict) -> float:
-    """||sum of the signed terms||_F over the sum of their factor-norm products (Rigal-Gaches, Higham).
-
-    0.0 for an exactly zero sum; NaN, which fails, for any other sum over a zero or overflowed scale."""
+    """||sum of the signed terms||_F, :func:`relative` to the sum of their factor-norm products (Rigal-Gaches,
+    Higham): 0.0 for an exactly zero sum, NaN, which fails, for any other over a zero or overflowed scale."""
     norms = {name: fro(m) for name, m in mats.items()}
     total, scale = 0.0, 0.0
     for sign, factors in terms:
         product = reduce(np.matmul, (dagger(mats[n]) if adjoint else mats[n] for n, adjoint in factors))
         total = total + product if sign > 0 else total - product
         scale += math.prod(norms[n] for n, _ in factors)
-    residual = fro(total)
-    return residual / scale if 0.0 < scale < math.inf else (math.nan if residual else 0.0)
+    return relative(fro(total), scale)
 
 
 def _verify_douglas(a, c, x, tol):
     fa = factor(a, tol)
     residuals, failed = _douglas_certificate(a, c, x, fa.norm)
-    residuals["reducedness"] = fro(fa.adjoint().n_astar(x)) / max(fro(x), 1e-300)
+    residuals["reducedness"] = relative(fro(fa.adjoint().n_astar(x)), fro(x))
     failed["reducedness"] = not residuals["reducedness"] <= ZERO_REL
     return residuals, failed
 
@@ -332,8 +330,8 @@ def _verify_congruence_cz(a, b, c, x, y, z, tol):
     norms = {name: float(np.abs(w).max(initial=0.0)) for name, w in spectra.items()}
     norms["z"] = spectral_norm(z)
     for name, block in (("x", x), ("y", y)):
-        herm = fro(block - dagger(block)) / max(fro(block), 1e-300)
-        residuals[f"{name}_psd_gap"] = float(spectra[name].min(initial=0.0)) / max(norms[name], 1e-300)
+        herm = relative(fro(block - dagger(block)), fro(block))
+        residuals[f"{name}_psd_gap"] = relative(float(spectra[name].min(initial=0.0)), norms[name])
         residuals[f"{name}_hermitian_defect"] = herm
         failed[f"{name}_psd"] = not (herm <= ZERO_REL and residuals[f"{name}_psd_gap"] >= -ZERO_REL)
     for name, norm in norms.items():
@@ -368,12 +366,12 @@ def completeness_witness(a, b, c, x0, y0, tol: ToleranceConfig = DEFAULT_TOL) ->
     dy = y0 - y_p
     x_wit = fro(fa.adjoint().p_a(fb.right_n_a(dx)))
     y_wit = fro(fa.n_astar(fb.adjoint().right_p_astar(dy)))
-    scale = max(fro(dx), fro(dy), 1e-300)
+    scale = max(fro(dx), fro(dy))
     return CompletenessReport(
         x_witness=x_wit,
         y_witness=y_wit,
         scale=scale,
-        passed=x_wit <= WITNESS_REL * scale and y_wit <= WITNESS_REL * scale,
+        passed=relative(x_wit, scale) <= WITNESS_REL and relative(y_wit, scale) <= WITNESS_REL,
     )
 
 

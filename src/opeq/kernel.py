@@ -2,14 +2,15 @@
 
 Operators are plain 2-D ``numpy`` arrays with complex128 entries.  Every rank
 decision goes through :func:`factor`, the one place the rank cutoff (see
-:class:`ToleranceConfig`) is applied; range decisions compare residuals with
-``residual_rel``.  Input from outside the package is coerced and scanned once,
-by :func:`shaped` or a public primitive such as :func:`factor`;
-:func:`dagger`, :func:`fro` and :func:`spectral_norm` take arrays as given.
+:class:`ToleranceConfig`) is applied; every relative residual is :func:`relative`,
+which range decisions compare with ``residual_rel``.  Input from outside the
+package is coerced and scanned once, by :func:`shaped` or a public primitive such
+as :func:`factor`; :func:`dagger`, :func:`fro` and :func:`spectral_norm` take arrays as given.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -32,6 +33,7 @@ __all__ = [
     "pinv",
     "psd_sqrt",
     "fro",
+    "relative",
     "spectral_norm",
     "dagger",
 ]
@@ -133,6 +135,13 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def fro(m: np.ndarray) -> float:
     """Frobenius norm; ``m`` is a 2-D complex128 ndarray, taken as given."""
     return float(np.linalg.norm(m))
+
+
+def relative(value: float, scale: float) -> float:
+    """``value / scale``; 0.0 for a zero ``value``, NaN (which fails) over a zero or non-finite ``scale``."""
+    if not value:
+        return 0.0
+    return value / scale if 0.0 < scale < math.inf else math.nan
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -249,8 +258,8 @@ def psd_sqrt(m, scale: float | None = None) -> np.ndarray:
         raise EmptyMatrix("cannot take the square root of an empty matrix")
     if m.shape[0] != m.shape[1]:
         raise NotPSD(f"matrix of shape {m.shape} is not square")
-    defect = float(np.linalg.norm(m - m.conj().T))
-    if defect > PSD_DUST_REL * max(fro(m), scale or 0.0):
+    defect = fro(m - dagger(m))
+    if not relative(defect, max(fro(m), scale or 0.0)) <= PSD_DUST_REL:
         raise NotPSD(f"matrix is not Hermitian (defect {defect:.3e})")
     w, q = np.linalg.eigh(m)
     norm2 = max(abs(w[0]), abs(w[-1]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ContextMismatch
-from .kernel import as_matrix, fro, psd_sqrt, spectral_norm
+from .kernel import as_matrix, fro, psd_sqrt, relative, spectral_norm
 from .rng import Xoshiro256StarStar, complex_normal_matrix
 
 # check_module_linearity passes a deviation up to LINEARITY_REL * ||f|| ||x|| ||a||: roundoff.
@@ -151,4 +151,4 @@ def check_module_linearity(op: ModuleOperator, trials: int = 20, seed: int = 0,
         right = right_action(fn(x), a).data
         worst = max(worst, fro(left - right))
         scale = max(scale, op_norm * fro(x.data) * spectral_norm(a))
-    return LinearityReport(max_deviation=worst, scale=scale, passed=worst <= LINEARITY_REL * scale)
+    return LinearityReport(max_deviation=worst, scale=scale, passed=relative(worst, scale) <= LINEARITY_REL)

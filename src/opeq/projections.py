@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, factor, fro, shaped
+from .exceptions import ToleranceAnomaly
+from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, factor, fro, relative, shaped
 
 __all__ = [
     "ProjectionQuad",
@@ -67,22 +69,23 @@ def inclusion(c, f: Factorization, tol: ToleranceConfig = DEFAULT_TOL,
               scale: float | None = None) -> RangeDecision:
     """Decide R(c) subset-of R(a) for an operator ``a`` already factored as ``f``.
 
-    The decision is residual-based, ||N_{A*} c|| / ||c||, and applies
-    N_{A*} through ``f``, so it runs no factorization of its own.
-    A zero c is included in any range; callers testing a computed product
-    (say C N_B, which can cancel to roundoff dust whose self-relative
-    residual is meaningless) pass the factor magnitude as ``scale`` so that
-    ||c|| <= rank_rel * scale also counts as zero.
+    The residual is ``relative(||N_{A*} c||_F, scale)``, measured against the
+    magnitude c came from: ``scale`` when given (say ||C|| for a computed
+    product C N_B, which can cancel to roundoff dust), else ||c||_F.  It
+    applies N_{A*} through ``f``, so it runs no factorization of its own.
+    A zero c is included in any range.  A nonzero N_{A*} c over a zero or
+    overflowed scale gives a NaN residual, and an overflowed ||N_{A*} c|| an
+    infinite one; either raises :class:`ToleranceAnomaly` rather than deciding.
 
     ``c`` is a 2-D complex128 ndarray with as many rows as ``f.a``, taken
     as given; :func:`range_inclusion` is the checked entry point.
     """
-    rank_data = {"rank_a": f.rank}
-    norm_c = fro(c)
-    if norm_c == 0.0 or (scale is not None and norm_c <= tol.rank_rel * scale):
-        return RangeDecision(holds=True, residual=0.0, rank_data=rank_data)
-    residual = fro(f.n_astar(c)) / norm_c
-    return RangeDecision(holds=residual <= tol.residual_rel, residual=residual, rank_data=rank_data)
+    if scale is None:
+        scale = fro(c)
+    residual = relative(fro(f.n_astar(c)), scale)
+    if not math.isfinite(residual):
+        raise ToleranceAnomaly(f"range decision has no finite residual over scale {scale:.3e}")
+    return RangeDecision(holds=residual <= tol.residual_rel, residual=residual, rank_data={"rank_a": f.rank})
 
 
 def range_inclusion(c, a, tol: ToleranceConfig = DEFAULT_TOL,

@@ -40,21 +40,17 @@ ORTHOGONAL_SIGNATURE = "A(m,p), B(m,q), C(m,n) -> X(p,n), Y(q,n)"
 class SylvesterDiagnosis:
     """Solvability certificate for A X + Y B = C.
 
-    ``cond_range_cnb``    R(C N_B) subset-of R(A); the paper's R(P_{B*} C*) subset-of R(B*)
-                          holds by construction, P_{B*} projecting onto the closed R(B*)
+    ``cond_range_cnb``    R(C N_B) subset-of R(A), decided by ||N_{A*} C N_B||_F <= residual_rel ||C||_F;
+                          the paper's R(P_{B*} C*) subset-of R(B*) holds by construction,
+                          P_{B*} projecting onto the closed R(B*)
     ``classical_residual`` ||N_{A*} C N_B||_F, the (I - A A+) C (I - B+ B) test
-    ``solvable``          the range condition holds
-    ``anomaly``           the range condition and classical residual disagree; the
-                          decision counts C N_B as zero only when ||C N_B|| <= rank_rel ||C||
-                          and otherwise measures ||N_{A*} C N_B|| against ||C N_B||, while
-                          the classical residual is measured against ||C||, so the two part
-                          whenever ||C N_B|| is small next to ||C|| but not zero
+    ``solvable``          the range condition holds; the particular pair leaves C - A X - Y B =
+                          N_{A*} C N_B, so :func:`~opeq.harness.verify` certifies it up to roundoff
     """
 
     cond_range_cnb: RangeDecision
     classical_residual: float
     solvable: bool
-    anomaly: bool
 
 
 def diagnose_ax_yb(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> SylvesterDiagnosis:
@@ -63,18 +59,10 @@ def diagnose_ax_yb(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> SylvesterDiag
 
 
 def _diagnose(fa: Factorization, fb: Factorization, c, tol) -> SylvesterDiagnosis:
-    c_nb = fb.right_n_a(c)
     norm_c = fro(c)
-    cond_cnb = inclusion(c_nb, fa, tol, scale=norm_c)
-    classical = fro(fa.n_astar(c_nb))
-    classical_rel = classical / norm_c if norm_c else 0.0
-    solvable = cond_cnb.holds
-    return SylvesterDiagnosis(
-        cond_range_cnb=cond_cnb,
-        classical_residual=classical,
-        solvable=solvable,
-        anomaly=solvable != (classical_rel <= tol.residual_rel),
-    )
+    cond_cnb = inclusion(fb.right_n_a(c), fa, tol, scale=norm_c)
+    return SylvesterDiagnosis(cond_range_cnb=cond_cnb, classical_residual=cond_cnb.residual * norm_c,
+                              solvable=cond_cnb.holds)
 
 
 def particular_ax_yb(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):

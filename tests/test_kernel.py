@@ -1,11 +1,17 @@
 """Tests of the matrix primitives: SVD, pinv, PSD square root."""
 
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import opeq
 from opeq import (EmptyMatrix, InvalidMatrix, NotPSD, ToleranceConfig, as_matrix, factor, pinv,
                   psd_sqrt, svd)
 from opeq.harness import random_unitary, ranked_matrix
+from opeq.kernel import relative
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 
@@ -188,6 +194,39 @@ def test_psd_sqrt_verdict_is_scale_invariant(k):
     np.testing.assert_allclose(psd_sqrt(2.0 ** k * m), 2.0 ** (k // 2) * psd_sqrt(m), rtol=1e-13)
     # With no absolute floor, the zero matrix passes only because its defect is exactly 0.
     np.testing.assert_array_equal(psd_sqrt(np.zeros((2, 2))), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("k", [600, 1000])
+def test_psd_sqrt_fails_closed_on_overflow(k):
+    """Beyond about 2^500, ||m||_F overflows to inf; the relative Hermitian defect is then NaN,
+    which fails, so a non-Hermitian m raises NotPSD instead of passing as inf <= inf.
+
+    The downward half stays wrong: 2^-600 * [[0, 1], [0, 0]] still returns the zero matrix,
+    because its defect and its norm both underflow to an exact 0, which no relative rule can
+    tell from a true zero.  Normalising each operand by a power of two at entry (ROADMAP,
+    scale-safe entry normalisation) is what will mend it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NotPSD, match="not Hermitian"):
+            psd_sqrt(2.0 ** k * np.array([[0.0, 1.0], [0.0, 0.0]]))
+        np.testing.assert_allclose(psd_sqrt(2.0 ** 600 * np.eye(2)), 2.0 ** 300 * np.eye(2), rtol=1e-13)
+
+
+def test_relative_is_one_rule_for_zero_and_overflowed_scales():
+    assert relative(3.0, 4.0) == 0.75
+    assert relative(-3.0, 4.0) == -0.75
+    assert relative(0.0, 0.0) == 0.0
+    assert relative(0.0, math.inf) == 0.0
+    for value, scale in ((1e-30, 0.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan), (1.0, -2.0)):
+        assert math.isnan(relative(value, scale)), (value, scale)
+
+
+def test_no_module_has_an_absolute_floor():
+    """Every relative residual goes through kernel.relative; a tiny literal such as 1e-300 in a
+    max(..., floor) is how a check slips past it and divides roundoff by a near-zero scale."""
+    floor = re.compile(r"\b1(\.0*)?e-3\d\d\b")
+    sources = sorted(Path(opeq.__file__).parent.glob("*.py"))
+    assert sources and [p.name for p in sources if floor.search(p.read_text())] == []
 
 
 def test_psd_sqrt_clamps_eigenvalue_dust():

@@ -11,7 +11,7 @@ verdicts.
 import numpy as np
 import pytest
 
-from opeq import RangeNotContained, diagnose_ax_yb, diagnose_congruence, solve_ax_by_orthogonal
+from opeq import OpeqError, RangeNotContained, diagnose_ax_yb, diagnose_congruence, solve_ax_by_orthogonal
 from opeq.harness import InstanceSpec, generate, random_unitary, verify
 from opeq.rng import Xoshiro256StarStar
 
@@ -72,6 +72,25 @@ def test_sylvester_verdict_is_invariant(family, name):
         verdict = diagnose_ax_yb(a, b, c).solvable
         assert verdict == (family == "sylvester-solvable")
         assert diagnose_ax_yb(*SYLVESTER_MAPS[name](a, b, c, rng)).solvable == verdict, seed
+
+
+@pytest.mark.parametrize("family", ["sylvester-solvable", "sylvester-unsolvable"])
+def test_sylvester_verdict_survives_overflow_or_fails_closed(family):
+    """Scaling every operand, or C alone, by 2^600 or 2^1000 overflows ||C||_F.  The diagnosis
+    then keeps the family's verdict or raises an OpeqError (a decision whose scale overflowed);
+    it never reads the other verdict.  Scalings towards underflow, and the congruence families,
+    can still flip until operands are normalised at entry."""
+    for seed in range(4):
+        a, b, c = instance(family, seed)
+        for k in (600, 1000):
+            s = 2.0 ** k
+            for scaled in ((s * a, s * b, s * c), (a, b, s * c)):
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        verdict = diagnose_ax_yb(*scaled).solvable
+                except OpeqError:
+                    continue
+                assert verdict == (family == "sylvester-solvable"), (seed, k)
 
 
 @pytest.mark.parametrize("name", list(CONGRUENCE_MAPS))

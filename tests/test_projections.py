@@ -1,11 +1,16 @@
 """Tests of projection quads and range decisions."""
 
+import math
+
 import numpy as np
 import pytest
 
 from opeq import (
     DimensionMismatch,
     InvalidMatrix,
+    OpeqError,
+    ToleranceAnomaly,
+    factor,
     numerical_rank,
     projection_quad,
     range_equal,
@@ -14,6 +19,7 @@ from opeq import (
     solve_congruence_cz,
 )
 from opeq.harness import ranked_matrix
+from opeq.projections import inclusion
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 
@@ -93,6 +99,31 @@ def test_range_inclusion_scaled_subrange():
 
 def test_range_inclusion_zero_matrix_always_included():
     dec = range_inclusion(np.zeros((2, 2)), np.diag([1.0, 0.0]))
+    assert dec.holds and dec.residual == 0.0
+
+
+def test_inclusion_residual_is_relative_to_the_magnitude_c_came_from():
+    rng = Xoshiro256StarStar(31)
+    a, c = ranked_matrix(rng, 5, 4, 2), complex_normal_matrix(rng, 5, 3)
+    outside = np.linalg.norm(projection_quad(a).n_astar @ c)
+    f = factor(a)
+    assert inclusion(c, f).residual == pytest.approx(outside / np.linalg.norm(c), rel=1e-12)
+    for scale in (1e-3, 7.0, 2.0 ** 400):
+        assert inclusion(c, f, scale=scale).residual == pytest.approx(outside / scale, rel=1e-12)
+
+
+def test_inclusion_without_a_finite_scale_raises_tolerance_anomaly():
+    f = factor(np.diag([1.0, 0.0]))
+    outside = np.array([[0.0], [1.0]])
+    assert issubclass(ToleranceAnomaly, OpeqError)
+    for scale in (0.0, math.inf):
+        with pytest.raises(ToleranceAnomaly, match="no finite residual"):
+            inclusion(outside, f, scale=scale)
+    # ||c||_F overflows to inf, so the self-relative residual is inf / inf.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ToleranceAnomaly):
+        range_inclusion(2.0 ** 600 * outside, np.diag([1.0, 0.0]))
+    # A zero c is included even over a zero scale.
+    dec = inclusion(np.zeros((2, 1)), f, scale=0.0)
     assert dec.holds and dec.residual == 0.0
 
 

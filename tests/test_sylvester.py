@@ -26,28 +26,54 @@ B2 = np.diag([0.0, 1.0])
 
 def test_diagnose_worked_solvable():
     diag = diagnose_ax_yb(A2, B2, np.eye(2))
-    assert diag.solvable and not diag.anomaly
+    assert diag.solvable
     # N_{A*} C N_B = diag(0,1) diag(1,0) = 0
     assert diag.classical_residual <= 1e-14
 
 
 def test_diagnose_worked_unsolvable():
     diag = diagnose_ax_yb(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    assert not diag.solvable and not diag.anomaly
+    assert not diag.solvable
     assert diag.classical_residual == pytest.approx(1.0, abs=1e-14)
 
 
-def test_anomaly_away_from_a_rank_threshold():
-    """A small C N_B fails the range decision, measured against ||C N_B||, yet passes
-    the classical residual, measured against ||C||; neither operand is near a rank cutoff."""
+def test_small_c_nb_is_decided_against_c_and_its_answer_certified():
+    """||N_A* C N_B|| is measured against ||C||, the magnitude C N_B came from, not against
+    ||C N_B||: at about 4e-9 it is below residual_rel, so the instance is solvable and verify
+    certifies its particular pair.  Neither operand is near a rank cutoff."""
     rng = Xoshiro256StarStar(6)
     a, b = ranked_matrix(rng, 4, 3, 2), ranked_matrix(rng, 3, 4, 2)
     x, y, e = (complex_normal_matrix(rng, *shape) for shape in ((3, 4), (4, 3), (4, 4)))
     c = a @ x + y @ b + 1e-9 * e
     diag = diagnose_ax_yb(a, b, c)
-    assert not diag.solvable and diag.anomaly
-    assert 1e-8 < diag.cond_range_cnb.residual < 1e-7
-    assert 1e-9 < diag.classical_residual / np.linalg.norm(c) < 1e-8
+    assert diag.solvable
+    assert 1e-9 < diag.cond_range_cnb.residual < 1e-8
+    assert diag.cond_range_cnb.residual == pytest.approx(diag.classical_residual / np.linalg.norm(c), rel=1e-12)
+    sol = solve_ax_yb(a, b, c)
+    cert = verify("sylvester", {"A": a, "B": b, "C": c}, {"X": sol.x, "Y": sol.y})
+    assert cert.passed and 1e-10 < cert.residuals["equation"] < 1e-8
+
+
+def test_a_solvable_diagnosis_licenses_a_certified_answer():
+    """C = A X + Y B + eps E with eps log-uniform in [1e-12, 1e-6]: whenever the diagnosis says
+    solvable, verify certifies the particular pair, and the range residual is the classical
+    residual ||N_A* C N_B||_F, recomputed from dense projections, over ||C||_F."""
+    verdicts = set()
+    for seed in range(50):
+        rng = Xoshiro256StarStar(seed)
+        a, b = ranked_matrix(rng, 4, 3, 2), ranked_matrix(rng, 3, 4, 2)
+        x, y, e = (complex_normal_matrix(rng, *shape) for shape in ((3, 4), (4, 3), (4, 4)))
+        c = a @ x + y @ b + 10.0 ** (-12 + 6 * rng.uniform()) * e
+        diag = diagnose_ax_yb(a, b, c)
+        classical = np.linalg.norm(projection_quad(a).n_astar @ c @ projection_quad(b).n_a)
+        assert diag.classical_residual == pytest.approx(classical, rel=1e-6, abs=1e-15)
+        assert diag.cond_range_cnb.residual == pytest.approx(diag.classical_residual / np.linalg.norm(c),
+                                                             rel=1e-12)
+        verdicts.add(diag.solvable)
+        if diag.solvable:
+            sol = solve_ax_yb(a, b, c)
+            assert verify("sylvester", {"A": a, "B": b, "C": c}, {"X": sol.x, "Y": sol.y}).passed, seed
+    assert verdicts == {True, False}
 
 
 def test_diagnose_zero_rhs_trivially_solvable():

@@ -85,7 +85,7 @@ def _criteria(fa: Factorization, fb: Factorization, c, tol):
 def _diagnose(fa: Factorization, fb: Factorization, c, tol) -> CongruenceDiagnosis:
     hyp_c_in_b = inclusion(c, fb, tol)
     hyp_cstar_in_a = inclusion(dagger(c), fa, tol)
-    hyp3 = fro(fa.adjoint().right_p_astar(dagger(fb.a) @ dagger(c)))
+    hyp3 = fro(dagger(fb.a) @ (dagger(c) @ fa.u))  # ||B* C* P_A||_F = ||B* C* U_A||_F
     hyp3_ok = relative(hyp3, fb.norm * fro(c)) <= tol.residual_rel
     cond1, cond2 = _criteria(fa, fb, c, tol)
     hypotheses_hold = hyp_c_in_b.holds and hyp_cstar_in_a.holds and hyp3_ok
@@ -193,10 +193,10 @@ class IntersectionReport:
 
 
 def _kernel_projection(a, b, tol):
-    """Factors of A and B, a basis of R(A) intersect R(B), and the blocks X, Y, Z* of N_T.
+    """Factors of A and B, a basis of R(A) intersect R(B), W1, W2, and the diagonal blocks X, Y of N_T.
 
     N(T) = (N(A) + 0) + (0 + N(B)) + {(A+ w, B+ w) : w in the intersection}, orthogonally,
-    so N_T = diag(N_A, N_B) + W W* for W = [W1; W2] orthonormal on the last piece.  The
+    so N_T = diag(N_A, N_B) + W W* for W = [W1; W2] orthonormal on the last piece; Z* = W1 W2*.  The
     intersection is spanned by the right singular vectors of N_{A*} Q_B whose singular values,
     the principal angles' sines (Bjorck & Golub, Math. Comp. 27, 1973; cosines lose angles
     below 1e-8), are at most ``residual_rel``, the bound of every inclusion on ||N_{A*} w||.
@@ -209,7 +209,7 @@ def _kernel_projection(a, b, tol):
     w1, w2 = w[:p], w[p:]
     x = fa.adjoint().n_astar(np.eye(p, dtype=np.complex128)) + w1 @ dagger(w1)
     y = fb.adjoint().n_astar(np.eye(q, dtype=np.complex128)) + w2 @ dagger(w2)
-    return fa, fb, basis, x, y, w1 @ dagger(w2)
+    return fa, fb, basis, w1, w2, x, y
 
 
 def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> IntersectionReport:
@@ -223,7 +223,8 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
     Adv. Math. 7, 1971).
     """
     a, b = shaped(INTERSECTION_SIGNATURE, a, b)
-    fa, fb, basis, x_block, y_block, zstar = _kernel_projection(a, b, tol)
+    fa, fb, basis, w1, w2, x_block, y_block = _kernel_projection(a, b, tol)
+    zstar = w1 @ dagger(w2)
     proj = np.block([[x_block, zstar], [dagger(zstar), y_block]])
     fs = factor(np.hstack([a, b]), tol)
     pn_s_residual = fro(fs.adjoint().p_a(fs.right_n_a(proj)))
@@ -263,12 +264,13 @@ def solve_congruence_cz(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     sufficient, not necessary: a failing one raises :class:`EmptyIntersection`
     or :class:`IntersectionNotInRangeC`, both :class:`HypothesisViolated`.
     X and Y are the PSD blocks of the kernel projection, and Z is the
-    reduced solution of C Z = A X A* + B Y B*.  Only that construction runs:
+    reduced solution of C Z = A X A* + B Y B* = (A W1)(A W1)* + (B W2)(B W2)*
+    (A N_A = 0, so that product goes unformed).  Only that construction runs:
     the side condition P N(S) in N(S), which it does not need in finite
     dimensions, is part of :func:`range_intersection`'s certificate.
     """
     a, b, c = shaped(CZ_SIGNATURE, a, b, c)
-    basis, x, y = _kernel_projection(a, b, tol)[2:5]
+    _, _, basis, w1, w2, x, y = _kernel_projection(a, b, tol)
     if basis.shape[1] == 0:
         raise EmptyIntersection("R(A) and R(B) intersect only in 0")
     fc = factor(c, tol)
@@ -277,5 +279,6 @@ def solve_congruence_cz(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
         raise IntersectionNotInRangeC(
             f"R(A) intersect R(B) is not contained in R(C): residual {basis_in_c.residual:.3e}"
         )
-    z = fc.pinv(a @ x @ dagger(a) + b @ y @ dagger(b))
+    aw1, bw2 = a @ w1, b @ w2
+    z = fc.pinv(aw1 @ dagger(aw1) + bw2 @ dagger(bw2))
     return x, y, z, CzReport(intersection_dim=basis.shape[1], basis_in_range_c=basis_in_c)

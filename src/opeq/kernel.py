@@ -6,6 +6,8 @@ decision goes through :func:`factor`, the one place the rank cutoff (see
 which range decisions compare with ``residual_rel``.  Input from outside the
 package is coerced and scanned once, by :func:`shaped` or a public primitive such
 as :func:`factor`; :func:`dagger`, :func:`fro` and :func:`spectral_norm` take arrays as given.
+:func:`factor` and :func:`spectral_norm` remember their last result, so a certificate computed
+right after its solver reruns no SVD the solver already ran.
 """
 
 from __future__ import annotations
@@ -144,12 +146,37 @@ def relative(value: float, scale: float) -> float:
     return value / scale if 0.0 < scale < math.inf else math.nan
 
 
+# The last results of factor and spectral_norm, one slot each and per process: factor's is
+# ((tol, anchor), Factorization), whose ``a`` is a private copy of the operand; spectral_norm's is
+# (copy of the operand, norm).  Copies and factors are read-only, so no caller can change what a
+# later call is handed.  A call hits only on an operand of the same shape and equal entries.
+_last_factor = None
+_last_norm = None
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
 def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value; 0.0 for empty or all-zero input, without a LAPACK call.
 
+    The norm of the operand :func:`factor` last factored is its ``norm``, and the
+    norm of the operand this last measured is remembered, both without a LAPACK call.
     ``m`` is a 2-D complex128 ndarray, taken as given.
     """
-    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.any() else 0.0
+    global _last_norm
+    if not m.any():
+        return 0.0
+    factored, measured = _last_factor, _last_norm
+    if factored is not None and np.array_equal(factored[1].a, m):
+        return factored[1].norm
+    if measured is not None and np.array_equal(measured[0], m):
+        return measured[1]
+    norm = float(np.linalg.svd(m, compute_uv=False)[0])
+    _last_norm = (_read_only(m.copy()), norm)
+    return norm
 
 
 def rank_cutoff(norm: float, shape, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -215,19 +242,31 @@ def factor(a, tol: ToleranceConfig = DEFAULT_TOL, anchor: float | None = None) -
     Singular values above ``rank_cutoff(sigma_max, a.shape, tol)`` count as
     nonzero.  An empty or all-zero ``a`` gets rank 0 without a LAPACK call.
     ``anchor`` replaces sigma_max as the magnitude the cutoff is relative
-    to, for a matrix whose own norm may be pure roundoff.
+    to, for a matrix whose own norm may be pure roundoff.  The last result is
+    remembered: an operand equal to the last one, with the same ``tol`` and
+    ``anchor``, gets it back without a LAPACK call.  Its arrays, ``a`` a copy
+    of the operand, are read-only.
     """
+    global _last_factor
     a = as_matrix(a)
+    key = (tol, anchor)
+    last = _last_factor
+    if last is not None and last[0] == key and np.array_equal(last[1].a, a):
+        return last[1]
+    a = _read_only(a.copy())
     rows, cols = a.shape
     if not a.any():
         u, sv, vh = (np.zeros((rows, 0), dtype=np.complex128), np.zeros(min(rows, cols)),
                      np.zeros((0, cols), dtype=np.complex128))
     else:
         u, sv, vh = np.linalg.svd(a, full_matrices=False)
+    u, sv = _read_only(u), _read_only(sv)
     norm = float(sv[0]) if sv.size else 0.0
     r = int(np.count_nonzero(sv > rank_cutoff(norm if anchor is None else anchor, a.shape, tol)))
-    return Factorization(a=a, u=u[:, :r], s=sv[:r], v=vh[:r].conj().T, singular_values=sv,
-                         rank=r, norm=norm)
+    f = Factorization(a=a, u=u[:, :r], s=sv[:r], v=_read_only(vh[:r].conj().T), singular_values=sv,
+                      rank=r, norm=norm)
+    _last_factor = (key, f)
+    return f
 
 
 def svd(m) -> Factorization:

@@ -246,3 +246,18 @@ def test_intersection_dim_is_the_inclusion_decision(sine):
     x, y, z, cz = solve_congruence_cz(a, b, ops["C"])
     assert cz.intersection_dim == 1
     assert verify("congruence-cz", ops, {"X": x, "Y": y, "Z": z}).passed
+
+
+def test_hyp3_and_the_cz_right_side_match_their_dense_products():
+    # hyp3 applies P_A as U_A (no m x m product) and the C Z solver forms A X A* + B Y B*
+    # as (A W1)(A W1)* + (B W2)(B W2)*; both agree with the dense formulas to roundoff.
+    rng = Xoshiro256StarStar(5)
+    a, b, c = ranked_matrix(rng, 6, 5, 3), ranked_matrix(rng, 6, 4, 3), complex_normal_matrix(rng, 6, 6)
+    p_a = a @ np.linalg.pinv(a, rcond=1e-10)
+    dense = np.linalg.norm(b.conj().T @ c.conj().T @ p_a)
+    assert diagnose_congruence(a, b, c).hyp_cstar_pa_in_nbstar == pytest.approx(dense, rel=1e-12)
+    ops = generate(InstanceSpec(seed=2, family="equal-range-pair", shape=(6, 5, 4, 3, 2)))
+    a, b = ops["A"], ops["B"]
+    x, y, z, _ = solve_congruence_cz(a, b, a)
+    rhs = a @ x @ a.conj().T + b @ y @ b.conj().T
+    np.testing.assert_allclose(z, np.linalg.pinv(a, rcond=1e-10) @ rhs, atol=1e-12 * np.linalg.norm(z))

@@ -3,7 +3,9 @@ seeded k=2 instances.
 
 Each entry point factors each of its operands once and applies the
 projections and pseudoinverses through that factorization, so the number
-of SVDs it runs is fixed by its structure.  Both ``numpy.linalg.svd`` and
+of SVDs it runs is fixed by its structure.  ``factor`` and ``spectral_norm``
+remember their last result, so every test starts with both emptied, and
+verify is counted both emptied and right after its solver.  Both ``numpy.linalg.svd`` and
 the module-level name that ``np.linalg.norm(x, 2)`` calls are counted, and
 Hermitian eigendecompositions (``eigh``, ``eigvalsh``) and QR the same way.
 Likewise each matrix is scanned for NaN/Inf only where it enters the
@@ -13,7 +15,7 @@ package, so the number of ``np.isfinite`` calls is fixed too.
 import numpy as np
 import pytest
 
-from opeq import DEFAULT_TOL, as_matrix
+from opeq import DEFAULT_TOL, as_matrix, kernel
 from opeq.harness import EQUATIONS, InstanceSpec, generate, verify
 
 try:
@@ -46,6 +48,17 @@ def counter(monkeypatch, owners, *names):
     return count
 
 
+def forget(monkeypatch):
+    """Empty kernel's remembered factorization and spectral norm."""
+    monkeypatch.setattr(kernel, "_last_factor", None)
+    monkeypatch.setattr(kernel, "_last_norm", None)
+
+
+@pytest.fixture(autouse=True)
+def cold(monkeypatch):
+    forget(monkeypatch)
+
+
 @pytest.fixture
 def svd_count(monkeypatch):
     """Run a thunk and return how many SVDs it made."""
@@ -75,7 +88,7 @@ def scan_count(monkeypatch):
 # A solver bound is the count when every operand is factored once and
 # every range decision is applied through a factorization the caller
 # already holds, so a helper that factors an operand again breaks it.
-# verify factors only what the answer's own properties need: A for the
+# With nothing remembered, verify factors only what the answer's own properties need: A for the
 # reducedness of a Douglas X, one spectral norm per lambda and ||[A B]||,
 # and ||Z|| for the C Z nonzero check.  Its eigendecompositions are one per
 # majorization gap and one per PSD check of X and Y, whose spectrum also
@@ -114,11 +127,25 @@ def test_solver_factors_each_operand_once(svd_count, eq):
 
 
 @pytest.mark.parametrize("eq", list(BOUNDS))
-def test_verify_factors_its_own_operands(svd_count, eq):
+def test_verify_factors_its_own_operands(monkeypatch, svd_count, eq):
     family, _, bound, _ = BOUNDS[eq]
     ops = instance(family)
     sol = solve(eq, ops)
+    forget(monkeypatch)
     assert svd_count(lambda: verify(eq, ops, sol)) == bound
+
+
+# equation tag -> SVD count of verify right after its solver: the solver's last
+# factorization (A, or [A B]) and its ||X|| (or ||[X; Y]||) are remembered, so
+# only the C Z solver's unmeasured ||Z|| is left.
+AFTER_SOLVE = {"sylvester": 0, "orthogonal": 0, "congruence": 0, "douglas": 0, "congruence-cz": 1}
+
+
+@pytest.mark.parametrize("eq", list(BOUNDS))
+def test_verify_after_its_solver_reruns_no_svd(svd_count, eq):
+    ops = instance(BOUNDS[eq][0])
+    sol = solve(eq, ops)
+    assert svd_count(lambda: verify(eq, ops, sol)) == AFTER_SOLVE[eq]
 
 
 def test_eig_counting_sees_both_names(eig_count):

@@ -22,6 +22,7 @@ from opeq import (
     solve_ax_by_orthogonal,
     verify,
 )
+from opeq import kernel
 from opeq.harness import EQUATIONS, Equation, ranked_matrix, random_unitary
 from opeq.kernel import parse_signature
 from opeq.rng import Xoshiro256StarStar, _splitmix64_fill, complex_normal_matrix
@@ -295,6 +296,28 @@ SOLVABLE_FAMILY = {
 # Checks of a known solution besides verify; each takes (A, B, C, X, Y).
 KNOWN_SOLUTION_CHECKS = {"sylvester": completeness_witness,
                          "congruence": solvability_necessity_check}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("tag", list(EQUATIONS))
+def test_verify_after_its_solver_matches_a_cold_verify(monkeypatch, tag, seed):
+    # Right after the solver, kernel hands verify the factorization and norms the solver
+    # computed; with both emptied it recomputes them.  The one permitted difference is
+    # ||[A B]||, taken from the SVD with vectors rather than without, in orthogonal's gap.
+    ops = generate(InstanceSpec(seed=seed, family=SOLVABLE_FAMILY[tag], shape=(6, 5, 4, 3, 2)))
+    ops.setdefault("C", ops["A"])  # equal-range-pair: R(A) ^ R(B) = R(A) = R(C)
+    sol = EQUATIONS[tag].solve(ops, DEFAULT_TOL, None)[0]
+    warm = verify(tag, ops, sol)
+    monkeypatch.setattr(kernel, "_last_factor", None)
+    monkeypatch.setattr(kernel, "_last_norm", None)
+    cold = verify(tag, ops, sol)
+    assert (warm.passed, warm.failures) == (cold.passed, cold.failures)
+    assert warm.residuals.keys() == cold.residuals.keys()
+    for name, value in warm.residuals.items():
+        if (tag, name) == ("orthogonal", "majorization_gap"):
+            np.testing.assert_array_max_ulp(value, cold.residuals[name], maxulp=4)
+        else:
+            assert value == cold.residuals[name], name
 
 
 def one_more_row(mats, name):

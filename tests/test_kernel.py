@@ -1,7 +1,9 @@
 """Tests of the matrix primitives: SVD, pinv, PSD square root."""
 
+import gc
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,8 @@ import opeq
 from opeq import (EmptyMatrix, InvalidMatrix, NotPSD, ToleranceConfig, as_matrix, factor, pinv,
                   psd_sqrt, svd)
 from opeq.harness import random_unitary, ranked_matrix
-from opeq.kernel import relative
+from opeq import kernel
+from opeq.kernel import relative, spectral_norm
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 
@@ -282,3 +285,77 @@ def test_complements_of_a_full_rank_side_are_exact_zeros():
     # The other side keeps its kernel part.
     assert np.linalg.norm(wide.right_n_a(complex_normal_matrix(rng, 2, 5))) > 0.1
     assert np.linalg.norm(tall.n_astar(complex_normal_matrix(rng, 5, 2))) > 0.1
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices handed to ``np.linalg.svd`` from here on, with nothing remembered."""
+    monkeypatch.setattr(kernel, "_last_factor", None)
+    monkeypatch.setattr(kernel, "_last_norm", None)
+    calls, real = [], np.linalg.svd
+
+    def counting(m, *args, **kwargs):
+        calls.append(m.shape)
+        return real(m, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def some_operators(count, seed=7):
+    rng = Xoshiro256StarStar(seed)
+    return [ranked_matrix(rng, 5, 4, 3) for _ in range(count)]
+
+
+def test_factor_remembers_an_equal_operand(svd_calls):
+    a, = some_operators(1)
+    f = factor(a)
+    assert factor(a.copy()) is f and svd_calls == [(5, 4)]
+    assert spectral_norm(a.copy()) == f.norm and len(svd_calls) == 1
+    assert f.a is not a and np.array_equal(f.a, a)
+
+
+def test_factor_refactors_an_operand_changed_in_place(svd_calls):
+    a, = some_operators(1)
+    f = factor(a)
+    a[0, 0] += 1.0
+    g = factor(a)
+    assert g is not f and np.array_equal(g.a, a) and not np.array_equal(f.a, a) and len(svd_calls) == 2
+
+
+def test_factor_misses_on_another_tol_or_anchor(svd_calls):
+    a, = some_operators(1)
+    f = factor(a)
+    coarse = factor(a, ToleranceConfig(rank_rel=1e-3))
+    anchored = factor(a, anchor=1.0)
+    assert len({id(f), id(coarse), id(anchored)}) == 3 and len(svd_calls) == 3
+    assert factor(a, anchor=1.0) is anchored and len(svd_calls) == 3
+
+
+def test_spectral_norm_remembers_its_last_operand(svd_calls):
+    a, b = some_operators(2)
+    norm = spectral_norm(a)
+    assert spectral_norm(a.copy()) == norm and len(svd_calls) == 1
+    a[0, 0] += 1.0
+    spectral_norm(a)
+    spectral_norm(b)
+    assert len(svd_calls) == 3
+
+
+def test_a_remembered_factorization_is_read_only():
+    a, = some_operators(1)
+    f = factor(a)
+    for name in ("a", "u", "s", "v", "singular_values"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(f, name)[0] = 0.0
+    a[0, 0] = 0.0  # the caller's operand stays its own
+
+
+def test_only_the_last_factorization_and_norm_are_kept():
+    factored, measured = [], []
+    for m in some_operators(3):
+        factored.append(weakref.ref(factor(m)))
+        spectral_norm(2.0 * m)
+        measured.append(weakref.ref(kernel._last_norm[0]))
+    gc.collect()
+    assert [ref() is not None for ref in factored] == [False, False, True]
+    assert [ref() is not None for ref in measured] == [False, False, True]

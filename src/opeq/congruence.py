@@ -202,7 +202,8 @@ def _kernel_projection(a, b, tol):
     below 1e-8), are at most ``residual_rel``, the bound of every inclusion on ||N_{A*} w||.
     """
     p, q = a.shape[1], b.shape[1]
-    fa, fb = factor(a, tol), factor(b, tol)
+    # B first: kernel remembers one factorization, so the C Z solver's factor(C) reuses A's when C = A.
+    fb, fa = factor(b, tol), factor(a, tol)
     sines, vh = np.linalg.svd(fa.n_astar(fb.u), full_matrices=False)[1:]
     basis = fb.u @ dagger(vh[sines <= tol.residual_rel])
     w = np.linalg.qr(np.vstack([fa.pinv(basis), fb.pinv(basis)]))[0]

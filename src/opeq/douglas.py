@@ -21,16 +21,13 @@ __all__ = [
     "ReducedSolutionReport",
     "reduced_solution",
     "douglas_factor",
+    "majorization_certificate",
     "majorization_gap",
     "solve_scaled_equality",
     "polar_range_check",
 ]
 
 SIGNATURE = "A(m,p), C(m,n) -> X(p,n)"
-
-# Relative slack of a majorization certificate C C* <= lambda G: lambda is
-# inflated by it, and the relative min eigenvalue may fall to minus it.
-MAJORIZATION_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,31 +64,38 @@ def _reduced_solution(fa: Factorization, c, tol) -> ReducedSolutionReport:
 def douglas_factor(a, c, tol: ToleranceConfig = DEFAULT_TOL):
     """Least lambda with C C* <= lambda A A*, or None when A X = C is unsolvable.
 
-    The factor is the reduced solution's ``lambda_factor``; the PSD certificate
-    min-eig(lambda (1 + s) A A* - C C*) >= -s ||A A*||_2, s = MAJORIZATION_SLACK,
-    is checked before returning (else :class:`ToleranceAnomaly`).
+    The factor is the reduced solution's ``lambda_factor``; its
+    :func:`majorization_certificate` is checked before returning (else
+    :class:`ToleranceAnomaly`).
     """
     a, c = shaped(SIGNATURE, a, c)
     fa = factor(a, tol)
     try:
-        lam = _reduced_solution(fa, c, tol).lambda_factor
+        d = _reduced_solution(fa, c, tol).d
     except RangeNotContained:
         return None
-    gap = majorization_gap(lam, a @ dagger(a), c, fa.norm * fa.norm)
-    if not gap >= -MAJORIZATION_SLACK:
-        raise ToleranceAnomaly(
-            f"majorization certificate failed: relative min eigenvalue {gap:.3e} at lambda={lam:.6e}"
-        )
-    return lam
+    residuals, failed = majorization_certificate(a, c, d, fa.norm, tol)
+    if failed["majorization_gap"]:
+        raise ToleranceAnomaly(f"majorization certificate failed: relative min eigenvalue "
+                               f"{residuals['majorization_gap']:.3e} at lambda={residuals['lambda']:.6e}")
+    return residuals["lambda"]
 
 
-def majorization_gap(lam: float, gram, c, gram_norm: float) -> float:
-    """Negative part of min-eig(lam (1 + s) G - C C*) over ``gram_norm`` = ||G||_2, s = MAJORIZATION_SLACK.
+def majorization_certificate(t, c, x, t_norm: float, tol: ToleranceConfig = DEFAULT_TOL):
+    """``lambda`` = ||X||_2^2 and the gap certifying C C* <= lambda T T* of T X = C, ``t_norm`` = ||T||_2."""
+    norm_x = spectral_norm(x)  # squares as products: past the double range they give inf, ** 2 raises
+    lam = norm_x * norm_x
+    gap = majorization_gap(lam, t @ dagger(t), c, t_norm * t_norm, tol)
+    return {"lambda": lam, "majorization_gap": gap}, {"majorization_gap": not gap >= -tol.residual_rel}
+
+
+def majorization_gap(lam: float, gram, c, gram_norm: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Negative part of min-eig(lam (1 + s) G - C C*) over ``gram_norm`` = ||G||_2, s = ``residual_rel``.
 
     Zero certifies C C* <= lam (1 + s) G; the certificates accept down to -s.  An overflowed
     combination gives NaN, which they fail (eigvalsh returns finite values for inf or NaN).
     """
-    combo = lam * (1.0 + MAJORIZATION_SLACK) * gram - c @ dagger(c)
+    combo = lam * (1.0 + tol.residual_rel) * gram - c @ dagger(c)
     if not np.abs(combo).max(initial=0.0) < np.inf:
         return float("nan")
     return relative(float(np.linalg.eigvalsh(combo).min(initial=0.0)), gram_norm)

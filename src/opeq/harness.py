@@ -16,10 +16,10 @@ from functools import reduce
 import numpy as np
 
 from . import congruence, douglas, sylvester
-from .douglas import MAJORIZATION_SLACK, majorization_gap
+from .douglas import majorization_certificate
 from .exceptions import InfeasibleSpec, MissingMatrix, NotASolution, ToleranceAnomaly, UnknownEquationTag
-from .kernel import (DEFAULT_TOL, ZERO_REL, ToleranceConfig, dagger, factor, fro, parse_signature, relative,
-                     shaped, spectral_norm)
+from .kernel import (DEFAULT_TOL, ToleranceConfig, dagger, factor, fro, parse_signature, relative, shaped,
+                     spectral_norm)
 from .projections import RangeDecision
 from .rng import Xoshiro256StarStar, complex_normal_matrix
 
@@ -41,14 +41,6 @@ __all__ = [
 
 SIGMA_MIN = 1e-2
 SIGMA_MAX = 1.0
-
-# verify's fixed thresholds besides ToleranceConfig, ZERO_REL and MAJORIZATION_SLACK: an
-# unknown is nonzero when its ||.||_2 > NONZERO_NORM.
-NONZERO_NORM = 1e-10
-
-# Decomposition components the homogeneous parameterization cannot produce
-# must vanish for any true solution; see completeness_witness.
-WITNESS_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -303,24 +295,16 @@ def _backward_error(terms: tuple, mats: dict) -> float:
 
 def _verify_douglas(a, c, x, tol):
     fa = factor(a, tol)
-    residuals, failed = _douglas_certificate(a, c, x, fa.norm)
+    residuals, failed = majorization_certificate(a, c, x, fa.norm, tol)
     residuals["reducedness"] = relative(fro(fa.adjoint().n_astar(x)), fro(x))
-    failed["reducedness"] = not residuals["reducedness"] <= ZERO_REL
+    failed["reducedness"] = not residuals["reducedness"] <= tol.rank_rel
     return residuals, failed
-
-
-def _douglas_certificate(t, c, x, t_norm):
-    """``lambda`` = ||X||_2^2 and the gap certifying C C* <= lambda T T* of T X = C."""
-    norm_x = spectral_norm(x)  # squares as products: past the double range they give inf, ** 2 raises
-    lam = norm_x * norm_x
-    gap = majorization_gap(lam, t @ dagger(t), c, t_norm * t_norm)
-    return {"lambda": lam, "majorization_gap": gap}, {"majorization_gap": not gap >= -MAJORIZATION_SLACK}
 
 
 def _verify_orthogonal(a, b, c, x, y, tol):
     # A X + B Y = C is T [X; Y] = C for T = [A B], and T T* = A A* + B B*.
     t = np.hstack([a, b])
-    return _douglas_certificate(t, c, np.vstack([x, y]), spectral_norm(t))
+    return majorization_certificate(t, c, np.vstack([x, y]), spectral_norm(t), tol)
 
 
 def _verify_congruence_cz(a, b, c, x, y, z, tol):
@@ -333,10 +317,12 @@ def _verify_congruence_cz(a, b, c, x, y, z, tol):
         herm = relative(fro(block - dagger(block)), fro(block))
         residuals[f"{name}_psd_gap"] = relative(float(spectra[name].min(initial=0.0)), norms[name])
         residuals[f"{name}_hermitian_defect"] = herm
-        failed[f"{name}_psd"] = not (herm <= ZERO_REL and residuals[f"{name}_psd_gap"] >= -ZERO_REL)
+        failed[f"{name}_psd"] = not (herm <= tol.rank_rel and residuals[f"{name}_psd_gap"] >= -tol.rank_rel)
+    # Nonzero is the paper's condition, norm > 0.0 (NaN fails): every scaling that maps an answer to an
+    # answer keeps it.  The solver refuses an empty intersection, or one outside R(C), before forming Z.
     for name, norm in norms.items():
         residuals[f"{name}_norm"] = norm
-        failed[f"{name}_nonzero"] = not norm > NONZERO_NORM
+        failed[f"{name}_nonzero"] = not norm > 0.0
     return residuals, failed
 
 
@@ -353,8 +339,9 @@ def completeness_witness(a, b, c, x0, y0, tol: ToleranceConfig = DEFAULT_TOL) ->
 
     Any solution differs from the particular pair by a homogeneous pair, so
     the components P_{A*} (x0 - x_p) N_B and N_{A*} (y0 - y_p) P_B, which no
-    parameter choice can produce, must vanish.  A pair that :func:`verify`
-    does not certify raises :class:`NotASolution`.
+    parameter choice can produce, must vanish: each passes up to ``residual_rel``
+    of the larger difference.  A pair that :func:`verify` does not certify
+    raises :class:`NotASolution`.
     """
     a, b, c, x0, y0 = shaped(sylvester.SIGNATURE, a, b, c, x0, y0)
     cert = verify("sylvester", {"A": a, "B": b, "C": c}, {"X": x0, "Y": y0}, tol)
@@ -371,7 +358,7 @@ def completeness_witness(a, b, c, x0, y0, tol: ToleranceConfig = DEFAULT_TOL) ->
         x_witness=x_wit,
         y_witness=y_wit,
         scale=scale,
-        passed=relative(x_wit, scale) <= WITNESS_REL and relative(y_wit, scale) <= WITNESS_REL,
+        passed=relative(x_wit, scale) <= tol.residual_rel and relative(y_wit, scale) <= tol.residual_rel,
     )
 
 

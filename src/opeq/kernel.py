@@ -24,7 +24,6 @@ from .exceptions import DimensionMismatch, EmptyMatrix, InvalidMatrix, NotPSD
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
-    "ZERO_REL",
     "Factorization",
     "as_matrix",
     "parse_signature",
@@ -46,10 +45,12 @@ class ToleranceConfig:
     """The two tolerance knobs governing every numerical decision.
 
     ``rank_rel``: a singular value sigma counts as nonzero only when
-    sigma > sigma_max * rank_rel * max(rows, cols).
+    sigma > sigma_max * rank_rel * max(rows, cols); a certificate's defects
+    that are zero in exact arithmetic pass up to it, relative.
 
-    ``residual_rel``: relative Frobenius residual below which an equation
-    or a range inclusion is accepted.
+    ``residual_rel``: relative Frobenius residual below which an equation,
+    a range inclusion or a completeness witness is accepted, and a
+    majorization certificate's slack.
     """
 
     rank_rel: float = 1e-10
@@ -63,10 +64,6 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
-
-# The fixed threshold besides ToleranceConfig: a defect that is zero in exact arithmetic (in verify,
-# reducedness and the Hermitian and PSD defects of X and Y) passes up to ZERO_REL of its operand.
-ZERO_REL = 1e-10
 
 # psd_sqrt's thresholds, relative to ||m||_2 or its ``scale``: the eigenvalue dust it clamps to zero
 # runs from -PSD_DUST_REL up to PSD_CUT_REL (below any meaningful eigenvalue, above eigh roundoff),

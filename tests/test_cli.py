@@ -204,6 +204,19 @@ def test_cli_process_never_loads_openssl(tmp_path):
     assert "_hashlib" not in imported
 
 
+@pytest.mark.parametrize("obj,message", [([1, 2], "expected a JSON object, got list"),
+                                         ({"rows": 1, "cols": 1}, "missing or non-list field 'data'"),
+                                         ({"rows": 1, "cols": 1, "data": 5}, "missing or non-list field 'data'")])
+def test_non_matrix_objects_are_parse_errors(tmp_path, capsys, obj, message):
+    for layout in LAYOUTS:
+        path = write(tmp_path / "m.json", obj, layout)
+        with pytest.raises(ParseError, match=f"m.json: {message}"):
+            load_matrix(path)
+        assert run_command(["solve", "douglas", "--A", path, "--C", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ParseError: {path}: {message}") and err.count("\n") == 1
+
+
 def test_boolean_size_file_exit_1(tmp_path, capsys):
     a = write(tmp_path / "A.json", {"rows": True, "cols": True, "data": [[1.0, 0.0]]})
     c = write(tmp_path / "C.json", {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]})
@@ -519,6 +532,32 @@ def test_gen_ranks_flag(tmp_path, capsys):
                         "--ranks", "A=3,A=2", "--out", str(tmp_path)]) == 1
     assert run_command(["gen", "--family", "orthogonal-pair", "--seed", "5",
                         "--ranks", "X0=2", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--ranks", "A3", "error: --ranks entries look like NAME=INT, got 'A3'"),
+    ("--shape", "6,5,4", "error: InfeasibleSpec: shape must be (m, n, p, q, k), got (6, 5, 4)"),
+    ("--shape", "6,5,4,3,1,1", "error: InfeasibleSpec: shape must be (m, n, p, q, k)"),
+    ("--shape", "6,0,4,3,1", "error: InfeasibleSpec: all dimensions must be >= 1, got (6, 0, 4, 3, 1)"),
+])
+def test_gen_rejects_malformed_specs(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "gen"
+    assert run_command(["gen", "--family", "sylvester-solvable", "--seed", "0", flag, value,
+                        "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_solve_cz_with_small_operands_exits_0(tmp_path, capsys):
+    # A and B times 1e-6 scale Z by 1e-12; the answer is as nonzero as the unscaled one.
+    ops = harness.generate(harness.InstanceSpec(seed=0, family="equal-range-pair"))
+    files = save_instance(tmp_path, A=1e-6 * ops["A"], B=1e-6 * ops["B"], C=ops["A"])
+    code = run_command(["solve", "congruence-cz", "--A", files["A"], "--B", files["B"], "--C", files["C"],
+                        "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["certificate"]["passed"]
+    assert 0.0 < report["certificate"]["residuals"]["z_norm"] < 1e-10
 
 
 def test_truncated_shift_matrix():

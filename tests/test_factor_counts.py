@@ -98,14 +98,14 @@ BOUNDS = {
     "orthogonal": ("orthogonal-pair", 2, 2, 1),
     "congruence": ("congruence-solvable", 2, 0, 0),
     "douglas": ("scaled-equality-pair", 2, 2, 1),
-    "congruence-cz": ("equal-range-pair", 4, 1, 2),
+    "congruence-cz": ("equal-range-pair", 3, 1, 2),
 }
 
 
 def instance(family):
     ops = generate(InstanceSpec(seed=1, family=family, shape=SHAPE))
     if family == "equal-range-pair":
-        # R(A) = R(B) lies inside R(C) for C = A.
+        # R(A) = R(B) lies inside R(C) for C = A, and the C Z solver's factor(C) reuses A's SVD.
         ops["C"] = ops["A"]
     return ops
 

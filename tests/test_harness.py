@@ -12,6 +12,7 @@ from opeq import (
     MissingMatrix,
     NotASolution,
     OpeqError,
+    ToleranceConfig,
     UnknownEquationTag,
     completeness_witness,
     diagnose_ax_yb,
@@ -23,6 +24,7 @@ from opeq import (
     verify,
 )
 from opeq import kernel
+from opeq.douglas import majorization_gap
 from opeq.harness import EQUATIONS, Equation, ranked_matrix, random_unitary
 from opeq.kernel import parse_signature
 from opeq.rng import Xoshiro256StarStar, _splitmix64_fill, complex_normal_matrix
@@ -174,6 +176,14 @@ def test_infeasible_specs_raise():
         generate(InstanceSpec(seed=0, family="scaled-equality-pair", params={"mu": 2.0}))
     with pytest.raises(InfeasibleSpec):
         generate(InstanceSpec(seed=0, family="congruence-solvable", shape=(2, 2, 2, 2, 1)))
+    for shape, message in (((6, 5, 4, 3), r"must be \(m, n, p, q, k\)"),
+                           ((6, 5, 4, 3, 1, 1), r"must be \(m, n, p, q, k\)"),
+                           ((6, 5, 0, 3, 1), "must be >= 1"), ((6, 5, 4, 3, -1), "must be >= 1")):
+        with pytest.raises(InfeasibleSpec, match=message):
+            generate(InstanceSpec(seed=0, family="sylvester-solvable", shape=shape))
+    for rank in (-1, 4):
+        with pytest.raises(InfeasibleSpec, match=f"rank {rank} impossible for a 3-by-5 matrix"):
+            ranked_matrix(Xoshiro256StarStar(0), 3, 5, rank)
 
 
 def test_block_scaled_shapes():
@@ -420,6 +430,34 @@ def test_known_solution_checks_take_verify_verdict():
     assert not verify("congruence", {"A": eye, "B": eye, "C": zero}, {"X": eye, "Y": y_near}).passed
     with pytest.raises(NotASolution, match="equation failed"):
         solvability_necessity_check(eye, eye, zero, eye, y_near)
+
+
+def test_majorization_slack_is_residual_rel():
+    # lambda = ||X||^2 = (1 - 1e-6)^2 falls 2e-6 short of the least factor 1, and the backward
+    # error is 4.1e-7: both within a residual_rel of 1e-4, both beyond the default 1e-8.
+    ops = {"A": np.eye(2), "C": np.diag([1.0, 0.5])}
+    sol = {"X": (1.0 - 1e-6) * ops["C"]}
+    loose = ToleranceConfig(residual_rel=1e-4)
+    assert verify("douglas", ops, sol, loose).passed
+    assert verify("douglas", ops, sol).failures == ("equation", "majorization_gap")
+    lam = (1.0 - 1e-6) ** 2
+    assert majorization_gap(lam, ops["A"], ops["C"], 1.0, loose) == 0.0
+    assert majorization_gap(lam, ops["A"], ops["C"], 1.0) == pytest.approx(-2e-6, rel=1e-2)
+
+
+def test_completeness_witness_reads_residual_rel():
+    # A = B = diag(1, 0), C = 0: y0 is homogeneous (Y B = 0) and x0 is too (A X = 0) but for
+    # 1e-6 e1 e2*, the component P_{A*} x0 N_B no parameter produces.  The witness reads
+    # 1e-6 / ||x0|| = 7.1e-7, the backward error 1e-6 / (||x0|| + ||y0||) = 4.1e-7.
+    a, zero = np.diag([1.0, 0.0]), np.zeros((2, 2))
+    x0, y0 = np.array([[0.0, 1e-6], [1.0, 1.0]]), np.diag([0.0, 1.0])
+    rep = completeness_witness(a, a, zero, x0, y0, ToleranceConfig(residual_rel=1e-6))
+    assert rep.passed and (rep.x_witness, rep.y_witness) == (1e-6, 0.0)
+    tight = ToleranceConfig(residual_rel=5e-7)
+    assert verify("sylvester", {"A": a, "B": a, "C": zero}, {"X": x0, "Y": y0}, tight).passed
+    assert not completeness_witness(a, a, zero, x0, y0, tight).passed
+    with pytest.raises(NotASolution, match="equation failed"):
+        completeness_witness(a, a, zero, x0, y0)
 
 
 def test_formulas_agree_with_their_signatures():

@@ -1,5 +1,6 @@
 """Tests of the matrix primitives: SVD, pinv, PSD square root."""
 
+import ast
 import gc
 import math
 import re
@@ -14,7 +15,7 @@ from opeq import (EmptyMatrix, InvalidMatrix, NotPSD, ToleranceConfig, as_matrix
                   psd_sqrt, svd)
 from opeq.harness import random_unitary, ranked_matrix
 from opeq import kernel
-from opeq.kernel import relative, spectral_norm
+from opeq.kernel import parse_signature, relative, spectral_norm
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 
@@ -230,6 +231,36 @@ def test_no_module_has_an_absolute_floor():
     floor = re.compile(r"\b1(\.0*)?e-3\d\d\b")
     sources = sorted(Path(opeq.__file__).parent.glob("*.py"))
     assert sources and [p.name for p in sources if floor.search(p.read_text())] == []
+
+
+def test_only_primitives_keep_fixed_thresholds():
+    """Certificates read every threshold from ToleranceConfig.  The only module-level float constants
+    below 1e-3 belong to primitives that take no ToleranceConfig: psd_sqrt and check_module_linearity."""
+    small = set()
+    for path in sorted(Path(opeq.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                try:
+                    value = ast.literal_eval(node.value)
+                except ValueError:
+                    continue
+                if isinstance(value, float) and abs(value) < 1e-3:
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    small |= {f"{path.stem}.{ast.unparse(t)}" for t in targets}
+    assert small == {"kernel.PSD_DUST_REL", "kernel.PSD_CUT_REL", "modules.LINEARITY_REL"}
+
+
+@pytest.mark.parametrize("signature", ["A(m,p), C(m,n) -> X(p,n", "A(m), C(m,n)", "A(m,p) C(m,n) -> X((p,n)"])
+def test_parse_signature_rejects_a_malformed_signature(signature):
+    with pytest.raises(ValueError, match="malformed shape signature"):
+        parse_signature(signature)
+
+
+def test_psd_sqrt_rejects_empty_and_non_square_input():
+    with pytest.raises(EmptyMatrix, match="empty matrix"):
+        psd_sqrt(np.zeros((0, 0)))
+    with pytest.raises(NotPSD, match=r"shape \(2, 3\) is not square"):
+        psd_sqrt(np.zeros((2, 3)))
 
 
 def test_psd_sqrt_clamps_eigenvalue_dust():

@@ -3,16 +3,17 @@
 Each transformation maps an instance to one that is solvable exactly when
 the original is: a unitary change of basis, the adjoint symmetry of the
 Sylvester and congruence equations, zero padding, the module lift
-M -> M (x) I_3, and a unitary mixing of the columns of [A B] in
-A X + B Y = C.  The loops run seeds 0-5 of the generated families of both
+M -> M (x) I_3, a unitary mixing of the columns of [A B] in
+A X + B Y = C, and scalings of the C Z operands.  The loops run seeds 0-5 of the generated families of both
 verdicts.
 """
 
 import numpy as np
 import pytest
 
-from opeq import OpeqError, RangeNotContained, diagnose_ax_yb, diagnose_congruence, solve_ax_by_orthogonal
-from opeq.harness import InstanceSpec, generate, random_unitary, verify
+from opeq import (DEFAULT_TOL, OpeqError, RangeNotContained, diagnose_ax_yb, diagnose_congruence,
+                  solve_ax_by_orthogonal)
+from opeq.harness import EQUATIONS, InstanceSpec, generate, random_unitary, verify
 from opeq.rng import Xoshiro256StarStar
 
 SEEDS = range(6)
@@ -132,3 +133,22 @@ def test_orthogonal_verdict_survives_mixing_the_coefficients():
             assert verify("orthogonal", {"A": a, "B": b, "C": c}, {"X": x, "Y": y}).passed, seed
             with pytest.raises(RangeNotContained):
                 solve_ax_by_orthogonal(a, b, outside)
+
+
+# (scale of A and B, scale of C): (X, Y, Z) solves A X A* + B Y B* = C Z exactly when
+# (X, Y, s_ab^2 Z / s_c) solves the scaled equation, so nonzero answers map to nonzero answers.
+CZ_SCALINGS = [(1e-6, 1.0), (2.0 ** -20, 1.0), (1e-100, 1.0), (1.0, 1e12)]
+
+
+@pytest.mark.parametrize("s_ab,s_c", CZ_SCALINGS)
+def test_cz_answer_is_certified_under_scaling(s_ab, s_c):
+    """The solver's answer to the scaled instance is certified, its ||Z|| as small as 1e-200 and
+    still nonzero.  Scaling up by 1e100 overflows ||.||_F's squares until operands are
+    normalised at entry."""
+    for seed in range(4):
+        ops = generate(InstanceSpec(seed=seed, family="equal-range-pair"))
+        ops = {"A": s_ab * ops["A"], "B": s_ab * ops["B"], "C": s_c * ops["A"]}  # R(A) = R(B) = R(C)
+        sol = EQUATIONS["congruence-cz"].solve(ops, DEFAULT_TOL, None)[0]
+        cert = verify("congruence-cz", ops, sol)
+        assert cert.passed, (seed, cert.failures)
+        assert 0.0 < cert.residuals["z_norm"] <= 1e3 * s_ab * s_ab / s_c, seed

@@ -162,3 +162,20 @@ def test_right_action_shape_check():
     x = elem(ctx, np.eye(2))
     with pytest.raises(ContextMismatch):
         right_action(x, np.zeros((3, 3)))
+
+
+def test_operator_context_checks():
+    two, three = ModuleContext(k=2, n=2), ModuleContext(k=3, n=1)
+    with pytest.raises(ContextMismatch, match="share the block size k"):
+        ModuleOperator(two, three, np.zeros((3, 4)))
+    with pytest.raises(ContextMismatch, match=r"operator data must be \(4, 4\), got \(4, 3\)"):
+        ModuleOperator(two, two, np.zeros((4, 3)))
+    op = ModuleOperator(two, two, np.eye(4))
+    with pytest.raises(ContextMismatch, match="operator domain"):
+        op.apply(elem(ModuleContext(k=2, n=1), np.eye(2)))
+
+
+def test_linearity_check_needs_a_trial():
+    op = ModuleOperator(ModuleContext(k=2, n=1), ModuleContext(k=2, n=1), np.eye(2))
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        check_module_linearity(op, trials=0)

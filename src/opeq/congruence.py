@@ -167,19 +167,18 @@ def solve_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
 class IntersectionReport:
     """R(A) intersect R(B) via the kernel projection of T = [A -B].
 
-    ``x_block``, ``z_block``, ``y_block`` are the blocks of the orthogonal
-    projection P onto N(T) under the domain split.  ``basis`` holds the
-    ``dim`` orthonormal principal vectors of R(B) whose angle to R(A) has sine
-    at most ``residual_rel``; ``dim_rank_formula`` = rank A + rank B - rank [A B]
-    stays a rank decision, so a sine between the rank cutoff and ``residual_rel``
-    counts in ``dim`` only.  ``pn_s_residual`` measures the side condition
+    ``x_block``, ``z_block``, ``y_block`` are the blocks X, Z, Y of the
+    orthogonal projection P = [[X, Z*], [Z, Y]] onto N(T) under the domain
+    split.  ``basis`` holds the ``dim`` orthonormal principal vectors of R(B)
+    whose angle to R(A) has sine at most ``residual_rel``; ``dim_rank_formula``
+    = rank A + rank B - rank [A B] stays a rank decision, so a sine between the
+    rank cutoff and ``residual_rel`` counts in ``dim`` only.  ``pn_s_residual`` measures the side condition
     P N(S) in N(S) for S = [A B]; it is reported, never enforced.
     """
 
     x_block: np.ndarray
     z_block: np.ndarray
     y_block: np.ndarray
-    projection: np.ndarray
     basis: np.ndarray
     dim: int
     dim_rank_formula: int
@@ -202,8 +201,7 @@ def _kernel_projection(a, b, tol):
     below 1e-8), are at most ``residual_rel``, the bound of every inclusion on ||N_{A*} w||.
     """
     p, q = a.shape[1], b.shape[1]
-    # B first: kernel remembers one factorization, so the C Z solver's factor(C) reuses A's when C = A.
-    fb, fa = factor(b, tol), factor(a, tol)
+    fa, fb = factor(a, tol), factor(b, tol)
     sines, vh = np.linalg.svd(fa.n_astar(fb.u), full_matrices=False)[1:]
     basis = fb.u @ dagger(vh[sines <= tol.residual_rel])
     w = np.linalg.qr(np.vstack([fa.pinv(basis), fb.pinv(basis)]))[0]
@@ -236,7 +234,6 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
         x_block=x_block,
         z_block=dagger(zstar),
         y_block=y_block,
-        projection=proj,
         basis=basis,
         dim=basis.shape[1],
         dim_rank_formula=fa.rank + fb.rank - fs.rank,
@@ -271,10 +268,10 @@ def solve_congruence_cz(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     dimensions, is part of :func:`range_intersection`'s certificate.
     """
     a, b, c = shaped(CZ_SIGNATURE, a, b, c)
-    _, _, basis, w1, w2, x, y = _kernel_projection(a, b, tol)
+    fa, fb, basis, w1, w2, x, y = _kernel_projection(a, b, tol)
     if basis.shape[1] == 0:
         raise EmptyIntersection("R(A) and R(B) intersect only in 0")
-    fc = factor(c, tol)
+    fc = fa if np.array_equal(a, c) else fb if np.array_equal(b, c) else factor(c, tol)
     basis_in_c = inclusion(basis, fc, tol)
     if not basis_in_c.holds:
         raise IntersectionNotInRangeC(

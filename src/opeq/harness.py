@@ -304,7 +304,7 @@ def _verify_douglas(a, c, x, tol):
 def _verify_orthogonal(a, b, c, x, y, tol):
     # A X + B Y = C is T [X; Y] = C for T = [A B], and T T* = A A* + B B*.
     t = np.hstack([a, b])
-    return majorization_certificate(t, c, np.vstack([x, y]), spectral_norm(t), tol)
+    return majorization_certificate(t, c, np.vstack([x, y]), factor(t, tol).norm, tol)
 
 
 def _verify_congruence_cz(a, b, c, x, y, z, tol):

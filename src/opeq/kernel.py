@@ -6,8 +6,9 @@ decision goes through :func:`factor`, the one place the rank cutoff (see
 which range decisions compare with ``residual_rel``.  Input from outside the
 package is coerced and scanned once, by :func:`shaped` or a public primitive such
 as :func:`factor`; :func:`dagger`, :func:`fro` and :func:`spectral_norm` take arrays as given.
-:func:`factor` and :func:`spectral_norm` remember their last result, so a certificate computed
-right after its solver reruns no SVD the solver already ran.
+:func:`factor` and :func:`spectral_norm` each remember their last result, so a certificate computed
+right after its solver reruns no SVD the solver already ran.  A remembered result is the one a fresh
+call computes, so no result depends on the calls before it.
 """
 
 from __future__ import annotations
@@ -146,7 +147,9 @@ def relative(value: float, scale: float) -> float:
 # The last results of factor and spectral_norm, one slot each and per process: factor's is
 # ((tol, anchor), Factorization), whose ``a`` is a private copy of the operand; spectral_norm's is
 # (copy of the operand, norm).  Copies and factors are read-only, so no caller can change what a
-# later call is handed.  A call hits only on an operand of the same shape and equal entries.
+# later call is handed.  A call hits only on an operand of the same shape and equal entries, and each
+# function reads only its own slot: the norm of an SVD with vectors can differ in the last bits from
+# a values-only one, so a hit always returns what a fresh call of the same function would.
 _last_factor = None
 _last_norm = None
 
@@ -157,18 +160,16 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value; 0.0 for empty or all-zero input, without a LAPACK call.
+    """Largest singular value from a values-only SVD; 0.0 for empty or all-zero input, without a LAPACK call.
 
-    The norm of the operand :func:`factor` last factored is its ``norm``, and the
-    norm of the operand this last measured is remembered, both without a LAPACK call.
-    ``m`` is a 2-D complex128 ndarray, taken as given.
+    The norm of the operand this last measured is remembered, so measuring an
+    equal operand again makes no LAPACK call.  ``m`` is a 2-D complex128
+    ndarray, taken as given.
     """
     global _last_norm
     if not m.any():
         return 0.0
-    factored, measured = _last_factor, _last_norm
-    if factored is not None and np.array_equal(factored[1].a, m):
-        return factored[1].norm
+    measured = _last_norm
     if measured is not None and np.array_equal(measured[0], m):
         return measured[1]
     norm = float(np.linalg.svd(m, compute_uv=False)[0])
@@ -241,16 +242,17 @@ def factor(a, tol: ToleranceConfig = DEFAULT_TOL, anchor: float | None = None) -
     ``anchor`` replaces sigma_max as the magnitude the cutoff is relative
     to, for a matrix whose own norm may be pure roundoff.  The last result is
     remembered: an operand equal to the last one, with the same ``tol`` and
-    ``anchor``, gets it back without a LAPACK call.  Its arrays, ``a`` a copy
-    of the operand, are read-only.
+    ``anchor``, gets it back without a LAPACK call or a second finiteness scan.
+    Its arrays, ``a`` a copy of the operand, are read-only.
     """
     global _last_factor
-    a = as_matrix(a)
     key = (tol, anchor)
     last = _last_factor
+    # Looked up before as_matrix: entries equal to the remembered copy are finite, and array_equal is
+    # False on ragged, non-numeric or NaN input, which as_matrix then rejects.
     if last is not None and last[0] == key and np.array_equal(last[1].a, a):
         return last[1]
-    a = _read_only(a.copy())
+    a = _read_only(as_matrix(a).copy())
     rows, cols = a.shape
     if not a.any():
         u, sv, vh = (np.zeros((rows, 0), dtype=np.complex128), np.zeros(min(rows, cols)),

@@ -549,6 +549,16 @@ def test_gen_rejects_malformed_specs(tmp_path, capsys, flag, value, message):
     assert not out.exists()
 
 
+def test_gen_violating_congruence_needs_rank_a_above_the_shared_dimension(tmp_path, capsys):
+    # Ranks 2 and 5 of m = 6 share a dimension of 2, leaving A no direction of its own.
+    out = tmp_path / "gen"
+    assert run_command(["gen", "--family", "congruence-criterion-violating", "--seed", "0",
+                        "--ranks", "A=2,B=5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: InfeasibleSpec: the violating family needs "
+                                       "rank A > shared dimension\n")
+    assert not out.exists()
+
+
 def test_solve_cz_with_small_operands_exits_0(tmp_path, capsys):
     # A and B times 1e-6 scale Z by 1e-12; the answer is as nonzero as the unscaled one.
     ops = harness.generate(harness.InstanceSpec(seed=0, family="equal-range-pair"))
@@ -564,6 +574,8 @@ def test_truncated_shift_matrix():
     t = make_truncated_shift(3)
     assert t.shape == (6, 6)
     np.testing.assert_allclose(np.diag(t).real, [0.0, 1.0, 0.0, 0.5, 0.0, 1.0 / 3.0])
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        make_truncated_shift(0)
 
 
 def test_truncated_shift_demo_values():

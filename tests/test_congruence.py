@@ -130,18 +130,27 @@ def test_homogeneous_equal_range_corollary():
 
 def test_homogeneous_rejects_bad_parameters():
     # B V1 P_{A*} lands outside R(A) when R(A) and R(B) are orthogonal
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match=r"^R\(B V1 P_A\* \+ V2 N_A\) not within R\(A\)"):
         homogeneous_congruence(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
                                np.ones((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+    # N_B V3 = V3 here is e2 e2*, whose adjoint lies outside R(B) = span e1
+    with pytest.raises(HypothesisViolated, match=r"^R\(V3\* N_B - A V1\* P_B\*\) not within R\(B\)"):
+        homogeneous_congruence(np.eye(2), np.diag([1.0, 0.0]),
+                               np.zeros((2, 2)), np.zeros((2, 2)), [[0.0, 0.0], [0.0, 1.0]])
     with pytest.raises(DimensionMismatch, match=r"^V3\(q,m\)"):
         homogeneous_congruence(np.eye(2), np.ones((2, 3)),
                                np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+def kernel_projection(rep):
+    """N_T = [[X, Z*], [Z, Y]] assembled from the report's blocks."""
+    return np.block([[rep.x_block, rep.z_block.conj().T], [rep.z_block, rep.y_block]])
+
+
 def test_intersection_worked_single_column():
     a = np.array([[1.0], [0.0]])
     rep = range_intersection(a, a)
-    np.testing.assert_allclose(rep.projection, 0.5 * np.ones((2, 2)), atol=1e-14)
+    np.testing.assert_allclose(kernel_projection(rep), 0.5 * np.ones((2, 2)), atol=1e-14)
     np.testing.assert_allclose(rep.x_block, [[0.5]], atol=1e-14)
     np.testing.assert_allclose(rep.z_block, [[0.5]], atol=1e-14)
     np.testing.assert_allclose(rep.y_block, [[0.5]], atol=1e-14)
@@ -153,7 +162,7 @@ def test_intersection_worked_single_column():
 def test_intersection_trivial():
     rep = range_intersection(np.array([[1.0], [0.0]]), np.array([[1.0], [1.0]]))
     assert rep.dim == rep.dim_rank_formula == 0
-    assert np.linalg.norm(rep.projection) <= 1e-12
+    assert np.linalg.norm(kernel_projection(rep)) <= 1e-12
 
 
 def test_intersection_full_ranges():
@@ -172,7 +181,7 @@ def test_intersection_random_invariants():
         a = ranked_matrix(rng, m, p, 1 + rng.next_u64() % min(m, p))
         b = ranked_matrix(rng, m, q, 1 + rng.next_u64() % min(m, q))
         rep = range_intersection(a, b)
-        proj = rep.projection
+        proj = kernel_projection(rep)
         assert np.linalg.norm(proj @ proj - proj) <= 1e-10
         assert np.linalg.norm(proj - proj.conj().T) <= 1e-10
         t = np.hstack([a, -b])

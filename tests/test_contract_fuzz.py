@@ -8,6 +8,11 @@ side is C alone; elsewhere every operand gets full rank instead); or the
 random C as drawn.  Whatever happens, only an :class:`OpeqError` may
 escape, no ``RuntimeWarning`` may be raised, and every answer ``solve``
 returns must pass :func:`verify`.
+
+The command-line arm mutates the bytes of one operand file, as
+:func:`~opeq.matrixio.save_matrix` writes it, and runs ``opeq solve`` on it:
+every run must exit 0 or 2 with nothing on stderr, or 1 with exactly one
+``error:`` line.
 """
 
 import warnings
@@ -16,7 +21,8 @@ from functools import reduce
 
 import numpy as np
 
-from opeq import DEFAULT_TOL, OpeqError, verify
+from opeq import DEFAULT_TOL, OpeqError, save_matrix, verify
+from opeq.cli import run_command
 from opeq.harness import EQUATIONS, ranked_matrix
 from opeq.kernel import parse_signature
 from opeq.rng import Xoshiro256StarStar
@@ -70,3 +76,52 @@ def test_every_answer_solve_returns_is_certified():
     assert not failed, failed[:5]
     # The fuzz exercises every equation's certificate, not only its refusals.
     assert all(certified[tag] >= 10 for tag in EQUATIONS), (certified, refused)
+
+
+CLI_RUNS = 300
+# Bytes a mutation inserts or writes over: digits, JSON punctuation, the non-JSON number
+# spellings Python's json module accepts, JSON null, a NUL and a byte that is not ASCII.
+TOKENS = [bytes([c]) for c in b'0123456789[]{},:"-.e+'] + [b"NaN", b"Infinity", b"null", b"\x00", b"\xff"]
+
+
+def mutate(raw: bytes, rng) -> bytes:
+    """Insert a token, delete or overwrite 1 to 3 bytes with one, or truncate, at a random offset."""
+    kind = rng.next_u64() % 4
+    at = rng.next_u64() % len(raw)
+    token = TOKENS[rng.next_u64() % len(TOKENS)]
+    span = 1 + rng.next_u64() % 3
+    return (raw[:at] + token + raw[at:], raw[:at] + raw[at + span:],
+            raw[:at] + token + raw[at + span:], raw[:at])[kind]
+
+
+def test_mutated_matrix_files_keep_the_cli_exit_contract(tmp_path, capsys):
+    rng = Xoshiro256StarStar(20261020)
+    operands = {"A": ranked_matrix(rng, 3, 2, 2), "B": ranked_matrix(rng, 2, 3, 1)}
+    operands["C"] = operands["A"] @ ranked_matrix(rng, 2, 3, 2)
+    files = {}
+    for name, m in operands.items():
+        files[name] = tmp_path / f"{name}.json"
+        save_matrix(files[name], m)
+    mutated = tmp_path / "mutated.json"
+    codes, broken = Counter(), []
+    for run in range(CLI_RUNS):
+        tag = ("douglas", "sylvester")[run % 2]
+        names = EQUATIONS[tag].operands
+        target = names[rng.next_u64() % len(names)]
+        raw = mutate(files[target].read_bytes(), rng)
+        mutated.write_bytes(raw)
+        argv = ["solve", tag, "--json"]
+        for name in names:
+            argv += [f"--{name}", str(mutated if name == target else files[name])]
+        try:
+            code = run_command(argv)
+        except Exception as exc:  # an escape is the failure this test looks for
+            code = repr(exc)
+        err = capsys.readouterr().err
+        codes[code] += 1
+        one_error_line = err.startswith("error: ") and err.count("\n") == 1
+        if not (code in (0, 2) and not err or code == 1 and one_error_line):
+            broken.append((tag, target, raw, code, err))
+    assert not broken, broken[:3]
+    # The mutations reach both accepted and refused files.
+    assert codes[0] and codes[1] >= CLI_RUNS // 2, codes

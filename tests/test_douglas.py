@@ -16,6 +16,7 @@ from opeq import (
     reduced_solution,
     solve_scaled_equality,
 )
+from opeq import douglas
 from opeq.harness import ranked_matrix, random_unitary, verify
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
@@ -93,6 +94,14 @@ def test_douglas_factor_is_tight_on_diagonal_case():
 
 def test_douglas_factor_none_when_unsolvable():
     assert douglas_factor(np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]])) is None
+
+
+def test_douglas_factor_raises_when_its_certificate_fails(monkeypatch):
+    def failing(t, c, x, t_norm, tol):
+        return {"lambda": 1.0, "majorization_gap": -1.0}, {"majorization_gap": True}
+    monkeypatch.setattr(douglas, "majorization_certificate", failing)
+    with pytest.raises(ToleranceAnomaly, match=r"min eigenvalue -1\.000e\+00 at lambda=1\.000000e\+00"):
+        douglas_factor(np.eye(2), np.eye(2))
 
 
 def test_solve_scaled_equality_identity():

@@ -5,18 +5,24 @@ Each entry point factors each of its operands once and applies the
 projections and pseudoinverses through that factorization, so the number
 of SVDs it runs is fixed by its structure.  ``factor`` and ``spectral_norm``
 remember their last result, so every test starts with both emptied, and
-verify is counted both emptied and right after its solver.  Both ``numpy.linalg.svd`` and
+verify is counted both emptied and right after its solver; a remembered result is the one a
+fresh call computes, whatever ran before it.  Both ``numpy.linalg.svd`` and
 the module-level name that ``np.linalg.norm(x, 2)`` calls are counted, and
 Hermitian eigendecompositions (``eigh``, ``eigvalsh``) and QR the same way.
 Likewise each matrix is scanned for NaN/Inf only where it enters the
 package, so the number of ``np.isfinite`` calls is fixed too.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from opeq import DEFAULT_TOL, as_matrix, kernel
-from opeq.harness import EQUATIONS, InstanceSpec, generate, verify
+import opeq
+from opeq import DEFAULT_TOL, OpeqError, as_matrix
+from opeq.harness import EQUATIONS, InstanceSpec, generate, ranked_matrix, verify
+from opeq.kernel import spectral_norm
+from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 try:
     from numpy.linalg import _linalg as linalg_impl  # numpy >= 2
@@ -24,6 +30,8 @@ except ImportError:  # pragma: no cover
     from numpy.linalg import linalg as linalg_impl
 
 SHAPE = (6, 5, 4, 3, 2)
+
+pytestmark = pytest.mark.usefixtures("forget")
 
 
 def counter(monkeypatch, owners, *names):
@@ -46,17 +54,6 @@ def counter(monkeypatch, owners, *names):
         thunk()
         return len(calls)
     return count
-
-
-def forget(monkeypatch):
-    """Empty kernel's remembered factorization and spectral norm."""
-    monkeypatch.setattr(kernel, "_last_factor", None)
-    monkeypatch.setattr(kernel, "_last_norm", None)
-
-
-@pytest.fixture(autouse=True)
-def cold(monkeypatch):
-    forget(monkeypatch)
 
 
 @pytest.fixture
@@ -89,7 +86,7 @@ def scan_count(monkeypatch):
 # every range decision is applied through a factorization the caller
 # already holds, so a helper that factors an operand again breaks it.
 # With nothing remembered, verify factors only what the answer's own properties need: A for the
-# reducedness of a Douglas X, one spectral norm per lambda and ||[A B]||,
+# reducedness of a Douglas X, [A B] for its norm, one spectral norm per lambda,
 # and ||Z|| for the C Z nonzero check.  Its eigendecompositions are one per
 # majorization gap and one per PSD check of X and Y, whose spectrum also
 # gives the norm of X or Y; no solver makes any.
@@ -105,7 +102,7 @@ BOUNDS = {
 def instance(family):
     ops = generate(InstanceSpec(seed=1, family=family, shape=SHAPE))
     if family == "equal-range-pair":
-        # R(A) = R(B) lies inside R(C) for C = A, and the C Z solver's factor(C) reuses A's SVD.
+        # R(A) = R(B) lies inside R(C) for C = A, and the C Z solver reuses A's factorization for C.
         ops["C"] = ops["A"]
     return ops
 
@@ -127,11 +124,11 @@ def test_solver_factors_each_operand_once(svd_count, eq):
 
 
 @pytest.mark.parametrize("eq", list(BOUNDS))
-def test_verify_factors_its_own_operands(monkeypatch, svd_count, eq):
+def test_verify_factors_its_own_operands(forget, svd_count, eq):
     family, _, bound, _ = BOUNDS[eq]
     ops = instance(family)
     sol = solve(eq, ops)
-    forget(monkeypatch)
+    forget()
     assert svd_count(lambda: verify(eq, ops, sol)) == bound
 
 
@@ -197,8 +194,8 @@ SCAN_BOUNDS = {
     "sylvester": (5, 5),
     "orthogonal": (4, 5),
     "congruence": (5, 5),
-    "douglas": (3, 4),
-    "congruence-cz": (6, 6),
+    "douglas": (3, 3),
+    "congruence-cz": (5, 6),
 }
 
 
@@ -217,3 +214,117 @@ def test_verify_scans_only_at_the_boundary(scan_count, eq):
     ops = instance(BOUNDS[eq][0])
     sol = solve(eq, ops)
     assert scan_count(lambda: verify(eq, ops, sol)) <= SCAN_BOUNDS[eq][1]
+
+
+# public entry point -> (equation whose instance, with its solver's answer added, it is called on;
+# the call; its SVD, Hermitian eigendecomposition and QR counts with nothing remembered).  Each
+# count is one SVD per matrix the entry factors or measures, so a helper that factors an operand
+# twice breaks it: the Douglas and orthogonal solves measure ||D|| for lambda (douglas_factor's
+# certificate gets it back remembered), solve_scaled_equality also factors C for R(A) in R(C),
+# polar_range_check factors T and |T*|, range_intersection factors [A B] for its rank and its own
+# orthonormal basis for the span check, and the C Z solver takes the principal angles' SVD and
+# reuses A's or B's factorization for a C equal to either.
+ENTRY_POINTS = {
+    "reduced_solution": ("douglas", lambda o: opeq.reduced_solution(o["A"], o["C"]), (2, 0, 0)),
+    "douglas_factor": ("douglas", lambda o: opeq.douglas_factor(o["A"], o["C"]), (2, 1, 0)),
+    "solve_scaled_equality": ("douglas", lambda o: opeq.solve_scaled_equality(o["A"], o["C"], o["lam"]),
+                              (3, 0, 0)),
+    "polar_range_check": ("douglas", lambda o: opeq.polar_range_check(o["A"]), (2, 1, 0)),
+    "diagnose_ax_yb": ("sylvester", lambda o: opeq.diagnose_ax_yb(o["A"], o["B"], o["C"]), (2, 0, 0)),
+    "particular_ax_yb": ("sylvester", lambda o: opeq.particular_ax_yb(o["A"], o["B"], o["C"]), (2, 0, 0)),
+    "homogeneous_ax_yb": ("sylvester", lambda o: opeq.homogeneous_ax_yb(
+        o["A"], o["B"], *opeq.random_params(o["A"], o["B"])), (2, 0, 0)),
+    "solve_ax_yb": ("sylvester", lambda o: opeq.solve_ax_yb(o["A"], o["B"], o["C"]), (2, 0, 0)),
+    "solve_ax_yb with params": ("sylvester", lambda o: opeq.solve_ax_yb(
+        o["A"], o["B"], o["C"], params=opeq.random_params(o["A"], o["B"])), (2, 0, 0)),
+    "completeness_witness": ("sylvester", lambda o: opeq.completeness_witness(
+        o["A"], o["B"], o["C"], o["X"], o["Y"]), (2, 0, 0)),
+    "solve_ax_by_orthogonal": ("orthogonal", lambda o: opeq.solve_ax_by_orthogonal(o["A"], o["B"], o["C"]),
+                               (2, 0, 0)),
+    "diagnose_congruence": ("congruence", lambda o: opeq.diagnose_congruence(o["A"], o["B"], o["C"]),
+                            (2, 0, 0)),
+    "solve_congruence": ("congruence", lambda o: opeq.solve_congruence(o["A"], o["B"], o["C"]), (2, 0, 0)),
+    "solvability_necessity_check": ("congruence", lambda o: opeq.solvability_necessity_check(
+        o["A"], o["B"], o["C"], o["X"], o["Y"]), (2, 0, 0)),
+    # With R(A) = R(B), V2 = A and V3 = B* satisfy both inclusions for any V1.
+    "homogeneous_congruence": ("congruence-cz", lambda o: opeq.homogeneous_congruence(
+        o["A"], o["B"], o["M"], o["A"], o["B"].conj().T), (2, 0, 0)),
+    "range_intersection": ("congruence-cz", lambda o: opeq.range_intersection(o["A"], o["B"]), (5, 1, 1)),
+    "solve_congruence_cz at C = A": ("congruence-cz", lambda o: opeq.solve_congruence_cz(
+        o["A"], o["B"], o["A"]), (3, 0, 1)),
+    "solve_congruence_cz at C = B": ("congruence-cz", lambda o: opeq.solve_congruence_cz(
+        o["A"], o["B"], o["B"]), (3, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_entry_point_lapack_counts(forget, svd_count, eig_count, qr_count, name):
+    eq, call, counts = ENTRY_POINTS[name]
+    ops = instance(BOUNDS[eq][0])
+    ops.update(solve(eq, ops))
+    measured = []
+    for count in (svd_count, eig_count, qr_count):
+        forget()
+        measured.append(count(lambda: call(ops)))
+    assert tuple(measured) == counts
+
+
+def fingerprint(value) -> bytes:
+    """Bytes of ``value``: arrays and floats bit for bit, dataclasses and containers item by item."""
+    if isinstance(value, np.ndarray):
+        return repr((value.shape, value.dtype.str)).encode() + value.tobytes()
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        value = list(value.items())
+    if isinstance(value, (list, tuple)):
+        return b"(" + b",".join(map(fingerprint, value)) + b")"
+    return repr(value).encode()
+
+
+def outcome(call) -> bytes:
+    try:
+        return fingerprint(call())
+    except OpeqError as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+
+
+# Calls sharing the operand M, each on operands built from it alone.  On this M the norm of the SVD
+# with vectors and the values-only one differ in the last bit, so a spectral_norm that read factor's
+# result would break the pair factor(M) -> spectral_norm(M).
+M = ranked_matrix(Xoshiro256StarStar(7), 5, 4, 3)
+MW = M @ complex_normal_matrix(Xoshiro256StarStar(8), 4, 2)
+HALF = np.eye(4) / 2.0
+CALLS_ON_M = {
+    "factor": lambda: opeq.factor(M),
+    "svd": lambda: opeq.svd(M),
+    "pinv": lambda: opeq.pinv(M),
+    "spectral_norm": lambda: spectral_norm(M),
+    "reduced_solution": lambda: opeq.reduced_solution(M, MW),
+    "douglas_factor": lambda: opeq.douglas_factor(M, MW),
+    "solve_scaled_equality": lambda: opeq.solve_scaled_equality(M, M, 1.0),
+    "polar_range_check": lambda: opeq.polar_range_check(M),
+    "solve_ax_yb": lambda: opeq.solve_ax_yb(M, M.conj().T, M @ M.conj().T),
+    "solve_ax_by_orthogonal": lambda: opeq.solve_ax_by_orthogonal(M, M, MW),
+    "solve_congruence": lambda: opeq.solve_congruence(M, M, M @ M.conj().T),
+    "range_intersection": lambda: opeq.range_intersection(M, M),
+    "solve_congruence_cz": lambda: opeq.solve_congruence_cz(M, M, M),
+    "verify douglas": lambda: verify("douglas", {"A": M, "C": M}, {"X": np.eye(4)}),
+    "verify orthogonal": lambda: verify("orthogonal", {"A": M, "B": M, "C": M}, {"X": HALF, "Y": HALF}),
+    "verify congruence-cz": lambda: verify("congruence-cz", {"A": M, "B": M, "C": M},
+                                           {"X": HALF, "Y": HALF, "Z": M.conj().T}),
+}
+
+
+@pytest.mark.parametrize("second", list(CALLS_ON_M))
+def test_no_result_or_count_depends_on_the_call_before(forget, svd_count, second):
+    # Each call after each other one returns the bytes it returns with nothing remembered,
+    # with at most as many SVDs.
+    out = []
+    cold_count = svd_count(lambda: out.append(outcome(CALLS_ON_M[second])))
+    for first, call in CALLS_ON_M.items():
+        forget()
+        outcome(call)
+        warm_count = svd_count(lambda: out.append(outcome(CALLS_ON_M[second])))
+        assert out[-1] == out[0], first
+        assert warm_count <= cold_count, first

@@ -319,10 +319,8 @@ def test_complements_of_a_full_rank_side_are_exact_zeros():
 
 
 @pytest.fixture
-def svd_calls(monkeypatch):
+def svd_calls(monkeypatch, forget):
     """Shapes of the matrices handed to ``np.linalg.svd`` from here on, with nothing remembered."""
-    monkeypatch.setattr(kernel, "_last_factor", None)
-    monkeypatch.setattr(kernel, "_last_norm", None)
     calls, real = [], np.linalg.svd
 
     def counting(m, *args, **kwargs):
@@ -341,8 +339,12 @@ def test_factor_remembers_an_equal_operand(svd_calls):
     a, = some_operators(1)
     f = factor(a)
     assert factor(a.copy()) is f and svd_calls == [(5, 4)]
-    assert spectral_norm(a.copy()) == f.norm and len(svd_calls) == 1
     assert f.a is not a and np.array_equal(f.a, a)
+    # spectral_norm does not read factor's slot: its norm is the values-only SVD's, which can differ
+    # in the last bits from f.norm (0.31708810126802545 against ...556 on this operand).
+    norm = spectral_norm(a)
+    assert len(svd_calls) == 2
+    assert norm == float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def test_factor_refactors_an_operand_changed_in_place(svd_calls):

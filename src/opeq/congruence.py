@@ -18,8 +18,7 @@ from .exceptions import (
     IntersectionNotInRangeC,
     NotSolvable,
 )
-from .kernel import (DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, psd_sqrt, relative,
-                     shaped)
+from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, relative, shaped
 from .projections import RangeDecision, inclusion
 
 __all__ = [
@@ -172,8 +171,9 @@ class IntersectionReport:
     split.  ``basis`` holds the ``dim`` orthonormal principal vectors of R(B)
     whose angle to R(A) has sine at most ``residual_rel``; ``dim_rank_formula``
     = rank A + rank B - rank [A B] stays a rank decision, so a sine between the
-    rank cutoff and ``residual_rel`` counts in ``dim`` only.  ``pn_s_residual`` measures the side condition
-    P N(S) in N(S) for S = [A B]; it is reported, never enforced.
+    rank cutoff and ``residual_rel`` counts in ``dim`` only.  ``pn_s_residual`` = ||P_{S*} P N_S||_F, the
+    side condition P N(S) in N(S) for S = [A B] with N(S) from the same sines as ``dim``, is reported,
+    never enforced.  ``sqrt_range_in_basis`` decides R((A X A*)^{1/2}) = R(A W1) in span(``basis``).
     """
 
     x_block: np.ndarray
@@ -192,23 +192,27 @@ class IntersectionReport:
 
 
 def _kernel_projection(a, b, tol):
-    """Factors of A and B, a basis of R(A) intersect R(B), W1, W2, and the diagonal blocks X, Y of N_T.
+    """Factors of A, B and of R(A) intersect R(B), then W1, W2, and the diagonal blocks X, Y of N_T.
 
     N(T) = (N(A) + 0) + (0 + N(B)) + {(A+ w, B+ w) : w in the intersection}, orthogonally,
     so N_T = diag(N_A, N_B) + W W* for W = [W1; W2] orthonormal on the last piece; Z* = W1 W2*.  The
     intersection is spanned by the right singular vectors of N_{A*} Q_B whose singular values,
     the principal angles' sines (Bjorck & Golub, Math. Comp. 27, 1973; cosines lose angles
     below 1e-8), are at most ``residual_rel``, the bound of every inclusion on ||N_{A*} w||.
+    That basis is orthonormal by construction, so it is its own factorization, with unit singular values.
     """
     p, q = a.shape[1], b.shape[1]
     fa, fb = factor(a, tol), factor(b, tol)
     sines, vh = np.linalg.svd(fa.n_astar(fb.u), full_matrices=False)[1:]
     basis = fb.u @ dagger(vh[sines <= tol.residual_rel])
+    dim, ones = basis.shape[1], np.ones(basis.shape[1])
+    span = Factorization(a=basis, u=basis, s=ones, v=np.eye(dim, dtype=np.complex128), singular_values=ones,
+                         rank=dim, norm=1.0 if dim else 0.0)
     w = np.linalg.qr(np.vstack([fa.pinv(basis), fb.pinv(basis)]))[0]
     w1, w2 = w[:p], w[p:]
     x = fa.adjoint().n_astar(np.eye(p, dtype=np.complex128)) + w1 @ dagger(w1)
     y = fb.adjoint().n_astar(np.eye(q, dtype=np.complex128)) + w2 @ dagger(w2)
-    return fa, fb, basis, w1, w2, x, y
+    return fa, fb, span, w1, w2, x, y
 
 
 def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> IntersectionReport:
@@ -217,33 +221,32 @@ def range_intersection(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Intersection
     P = N_T projects onto N(T) for T = [A -B]; its diagonal blocks X, Y are
     PSD and satisfy A X = B Z, A Z* = B Y, and the intersection equals
     R(A X) + R(A Z*).  This certificate, which the C Z solver does not run,
-    factors S = [A B] to check the dimension against rank A + rank B - rank S,
-    and checks the span against R((A A* : B B*)^{1/2}) (Fillmore & Williams,
-    Adv. Math. 7, 1971).
+    factors S = [A B] only for its rank, to check the dimension against rank A + rank B - rank S.
+    It checks the span against R((A A* : B B*)^{1/2}) (Fillmore & Williams, Adv. Math. 7, 1971); the
+    parallel sum is A X A* = (A W1)(A W1)*, as A N_A = 0, so in finite dimensions that range is R(A W1).
     """
     a, b = shaped(INTERSECTION_SIGNATURE, a, b)
-    fa, fb, basis, w1, w2, x_block, y_block = _kernel_projection(a, b, tol)
+    fa, fb, span, w1, w2, x_block, y_block = _kernel_projection(a, b, tol)
     zstar = w1 @ dagger(w2)
-    proj = np.block([[x_block, zstar], [dagger(zstar), y_block]])
     fs = factor(np.hstack([a, b]), tol)
-    pn_s_residual = fro(fs.adjoint().p_a(fs.right_n_a(proj)))
-
+    # J = diag(I, -I) maps N(T) onto N(S), so N_S = J N_T J; with diag(N_A, N_B) W = 0 that gives
+    # P_{S*} N_T N_S = (W - J W G) G (J W)* for G = W* J W, and (J W)* has orthonormal rows.
+    g = dagger(w1) @ w1 - dagger(w2) @ w2
     scale = fro(a) + fro(b)
-    sqrt_axa = psd_sqrt(a @ x_block @ dagger(a), scale=fa.norm * fa.norm)
     return IntersectionReport(
         x_block=x_block,
         z_block=dagger(zstar),
         y_block=y_block,
-        basis=basis,
-        dim=basis.shape[1],
+        basis=span.u,
+        dim=span.rank,
         dim_rank_formula=fa.rank + fb.rank - fs.rank,
         rank_a=fa.rank,
         rank_b=fb.rank,
         rank_stacked=fs.rank,
-        pn_s_residual=pn_s_residual,
+        pn_s_residual=fro(np.vstack([w1 - w1 @ g, w2 + w2 @ g]) @ g),
         ax_eq_bz_residual=relative(fro(a @ x_block - b @ dagger(zstar)), scale),
         azstar_eq_by_residual=relative(fro(a @ zstar - b @ y_block), scale),
-        sqrt_range_in_basis=inclusion(sqrt_axa, factor(basis, tol), tol),
+        sqrt_range_in_basis=inclusion(a @ w1, span, tol),
     )
 
 
@@ -268,15 +271,15 @@ def solve_congruence_cz(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     dimensions, is part of :func:`range_intersection`'s certificate.
     """
     a, b, c = shaped(CZ_SIGNATURE, a, b, c)
-    fa, fb, basis, w1, w2, x, y = _kernel_projection(a, b, tol)
-    if basis.shape[1] == 0:
+    fa, fb, span, w1, w2, x, y = _kernel_projection(a, b, tol)
+    if span.rank == 0:
         raise EmptyIntersection("R(A) and R(B) intersect only in 0")
     fc = fa if np.array_equal(a, c) else fb if np.array_equal(b, c) else factor(c, tol)
-    basis_in_c = inclusion(basis, fc, tol)
+    basis_in_c = inclusion(span.u, fc, tol)
     if not basis_in_c.holds:
         raise IntersectionNotInRangeC(
             f"R(A) intersect R(B) is not contained in R(C): residual {basis_in_c.residual:.3e}"
         )
     aw1, bw2 = a @ w1, b @ w2
     z = fc.pinv(aw1 @ dagger(aw1) + bw2 @ dagger(bw2))
-    return x, y, z, CzReport(intersection_dim=basis.shape[1], basis_in_range_c=basis_in_c)
+    return x, y, z, CzReport(intersection_dim=span.rank, basis_in_range_c=basis_in_c)

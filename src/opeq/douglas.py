@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import HypothesisViolated, RangeNotContained, ToleranceAnomaly
-from .kernel import (DEFAULT_TOL, Factorization, ToleranceConfig, as_matrix, dagger, factor, fro, psd_sqrt,
-                     relative, shaped, spectral_norm)
+from .kernel import (DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, relative, shaped,
+                     spectral_norm)
 from .projections import RangeDecision, inclusion, range_equal
 
 __all__ = [
@@ -131,11 +131,10 @@ def solve_scaled_equality(a, c, lambda_in: float,
 
 
 def polar_range_check(t, tol: ToleranceConfig = DEFAULT_TOL) -> RangeDecision:
-    """Check R(T) = R(|T*|) with |T*| the PSD square root of T T*.
+    """Check R(T) = R(|T*|) with |T*| = (T T*)^{1/2} = U_T diag(s) U_T*, from T's own factorization.
 
-    This equality is a theorem for every operator, so the decision doubles
-    as a self-test oracle for the projection machinery.
+    This equality is a theorem for every operator, so the decision doubles as a self-test oracle for
+    the projection machinery.  A root of T T* would drop singular values the rank cutoff keeps.
     """
-    t = as_matrix(t)
-    mod = psd_sqrt(t @ dagger(t))
-    return range_equal(t, mod, tol)
+    f = factor(t, tol)
+    return range_equal(f.a, (f.u * f.s) @ dagger(f.u), tol)

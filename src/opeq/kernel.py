@@ -66,10 +66,9 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
-# psd_sqrt's thresholds, relative to ||m||_2 or its ``scale``: the eigenvalue dust it clamps to zero
-# runs from -PSD_DUST_REL up to PSD_CUT_REL (below any meaningful eigenvalue, above eigh roundoff),
-# or up to PSD_DUST_REL given a ``scale``.  PSD_DUST_REL also bounds the Hermitian defect, relative
-# to ||m||_F or the ``scale`` with no absolute floor, so a common scaling of m changes no verdict.
+# psd_sqrt's thresholds, relative to ||m||_2: the eigenvalue dust it clamps to zero runs from -PSD_DUST_REL
+# up to PSD_CUT_REL (below any meaningful eigenvalue, above eigh roundoff).  PSD_DUST_REL also bounds the
+# Hermitian defect, relative to ||m||_F with no absolute floor, so a common scaling of m changes no verdict.
 PSD_DUST_REL = 1e-10
 PSD_CUT_REL = 1e-12
 
@@ -282,14 +281,11 @@ def pinv(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return f.pinv(np.eye(f.a.shape[0], dtype=np.complex128))
 
 
-def psd_sqrt(m, scale: float | None = None) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix.
 
-    Eigenvalue dust in (-PSD_DUST_REL, PSD_CUT_REL) * ||m||_2 is clamped to
-    zero; anything more negative raises :class:`NotPSD`.  Products such as
-    A X A* cancel to zero with roundoff proportional to the factors rather
-    than to the product, so callers forming one may pass the factor
-    magnitude as ``scale`` to widen the dust thresholds accordingly.
+    Eigenvalue dust in (-PSD_DUST_REL, PSD_CUT_REL) * ||m||_2 is clamped to zero; anything more negative
+    raises :class:`NotPSD`.  So a root of T T* loses T's singular values below sqrt(PSD_CUT_REL) ||T||.
     """
     m = as_matrix(m)
     if m.size == 0:
@@ -297,18 +293,15 @@ def psd_sqrt(m, scale: float | None = None) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise NotPSD(f"matrix of shape {m.shape} is not square")
     defect = fro(m - dagger(m))
-    if not relative(defect, max(fro(m), scale or 0.0)) <= PSD_DUST_REL:
+    if not relative(defect, fro(m)) <= PSD_DUST_REL:
         raise NotPSD(f"matrix is not Hermitian (defect {defect:.3e})")
     w, q = np.linalg.eigh(m)
     norm2 = max(abs(w[0]), abs(w[-1]))
-    if scale is not None:
-        norm2 = max(norm2, float(scale))
     if w[0] < -PSD_DUST_REL * norm2:
         raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -{PSD_DUST_REL:g} * ||m||")
     # Positive dust is clamped as well: the square root turns eigenvalues
     # of size eps into sqrt(eps), which would fake a nonzero range where a
     # product cancelled to zero.
-    cut = (PSD_DUST_REL if scale is not None else PSD_CUT_REL) * norm2
-    w = np.where(w > cut, w, 0.0)
+    w = np.where(w > PSD_CUT_REL * norm2, w, 0.0)
     root = (q * np.sqrt(w)) @ q.conj().T
     return (root + root.conj().T) / 2.0

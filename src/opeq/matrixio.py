@@ -20,6 +20,7 @@ few hundred KB.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import re
 from itertools import chain
@@ -53,16 +54,26 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _header_and_pairs(m, block_k):
+def _header_and_pairs(m, block_k, where):
     m = as_matrix(m)
     head = {"rows": int(m.shape[0]), "cols": int(m.shape[1])}
     if block_k is not None:
-        head["block_k"] = int(block_k)
+        block_k = operator.index(block_k) if hasattr(block_k, "__index__") else block_k
+        head["block_k"] = _checked_block_k(block_k, *m.shape, where)
     return head, np.stack([m.real, m.imag], -1).reshape(-1, 2)
 
 
+def _checked_block_k(block_k, rows, cols, where):
+    """``block_k`` if None or a positive int dividing ``rows`` and ``cols``; else the loader's error."""
+    if block_k is not None and (type(block_k) is not int or block_k < 1):
+        raise ParseError(f"{where}: field 'block_k' must be a positive integer")
+    if block_k is not None and (rows % block_k or cols % block_k):
+        raise ShapeError(f"{where}: block_k={block_k} does not divide {rows}x{cols}")
+    return block_k
+
+
 def matrix_to_obj(m, block_k: int | None = None) -> dict:
-    obj, pairs = _header_and_pairs(m, block_k)
+    obj, pairs = _header_and_pairs(m, block_k, "<memory>")
     # tolist() yields Python floats, which json writes with the shortest repr.
     obj["data"] = pairs.tolist()
     return obj
@@ -84,12 +95,7 @@ def obj_to_matrix(obj, where: str = "<memory>"):
         raise ParseError(f"{where}: missing or non-list field 'data'")
     if len(data) != rows * cols:
         raise ShapeError(f"{where}: data length {len(data)} != rows*cols = {rows * cols}")
-    block_k = obj.get("block_k")
-    if block_k is not None:
-        if type(block_k) is not int or block_k < 1:
-            raise ParseError(f"{where}: field 'block_k' must be a positive integer")
-        if rows % block_k or cols % block_k:
-            raise ShapeError(f"{where}: block_k={block_k} does not divide {rows}x{cols}")
+    block_k = _checked_block_k(obj.get("block_k"), rows, cols, where)
     pairs = _decode_pairs(data, where)
     # A C-ordered (n, 2) float64 array is n complex128 values in memory.
     return pairs.view(np.complex128).reshape(rows, cols), block_k
@@ -117,8 +123,9 @@ def save_matrix(path, m, block_k: int | None = None) -> str:
 
     The bytes are ``json.dumps(matrix_to_obj(m, block_k), separators=(",", ":"))``
     and a newline, formatted, written and hashed ``CHUNK_ENTRIES`` entries at a time.
+    A ``block_k`` the loader refuses raises its error before a byte is written; ``np.int64(2)`` writes 2.
     """
-    head, pairs = _header_and_pairs(m, block_k)
+    head, pairs = _header_and_pairs(m, block_k, path)
     # Each chunk is one slice's list without its brackets; json.dumps runs the C encoder.
     data = (("," if i else "") + _dumps(pairs[i:i + CHUNK_ENTRIES].tolist())[1:-1]
             for i in range(0, len(pairs), CHUNK_ENTRIES))
@@ -146,7 +153,7 @@ def load_matrix_meta(path):
         raise ParseError(f"{path}: cannot read: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not ASCII text: {exc}") from exc
-    loaded = _load_saved_layout(text)
+    loaded = _load_saved_layout(text, str(path))
     if loaded is not None:
         return loaded
     try:
@@ -158,20 +165,17 @@ def load_matrix_meta(path):
     return obj_to_matrix(obj, where=str(path))
 
 
-def _load_saved_layout(text):
+def _load_saved_layout(text, where="<memory>"):
     """Decode ``text`` in the exact layout save_matrix writes, about SLICE_CHARS at a time.
 
-    Returns (matrix, block_k), or None for any other text, valid or not: the
-    whole-file path then decodes it or raises the error obj_to_matrix names.
-    Nothing is sized from the header before the entries are counted.
+    Returns (matrix, block_k), or None for any other text, valid or not: the whole-file path then
+    decodes it or raises the error obj_to_matrix names, as this does itself for a ``block_k`` that
+    does not divide.  Nothing is sized from the header before the entries are counted.
     """
     head = _HEADER.match(text)
     if head is None or not text.endswith(_TAIL):
         return None
     rows, cols = int(head[1]), int(head[2])
-    block_k = None if head[3] is None else int(head[3])
-    if block_k is not None and (rows % block_k or cols % block_k):
-        return None
     parts = []
     start, end = head.end(), len(text) - len(_TAIL)
     while start < end:
@@ -184,5 +188,6 @@ def _load_saved_layout(text):
         start = stop + 1
     if sum(map(len, parts)) != rows * cols:
         return None
+    block_k = _checked_block_k(None if head[3] is None else int(head[3]), rows, cols, where)
     pairs = np.concatenate(parts) if parts else np.empty((0, 2))
     return pairs.view(np.complex128).reshape(rows, cols), block_k

@@ -7,6 +7,8 @@ import importlib
 import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +181,27 @@ def test_save_matrix_writes_the_reference_bytes(tmp_path, shape, block_k):
     assert matrixio._load_saved_layout(reference.decode("ascii")) is not None
     loaded, loaded_k = load_matrix_meta(path)
     assert loaded.tobytes() == m.tobytes() and loaded_k == block_k
+
+
+@pytest.mark.parametrize("block_k, error, message", [
+    (0, ParseError, "field 'block_k' must be a positive integer"),
+    (-1, ParseError, "field 'block_k' must be a positive integer"),
+    (1.5, ParseError, "field 'block_k' must be a positive integer"),
+    (np.float64(3.0), ParseError, "field 'block_k' must be a positive integer"),
+    (2, ShapeError, "block_k=2 does not divide 3x3"),
+])
+def test_save_matrix_refuses_a_block_k_its_loader_refuses(tmp_path, block_k, error, message):
+    # The loader's error for the same header, raised before a byte is written.
+    path = tmp_path / "m.json"
+    with pytest.raises(error, match=f"m.json: {message}"):
+        save_matrix(path, np.eye(3), block_k)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_matrix_writes_an_integer_like_block_k_as_an_int(tmp_path):
+    path = tmp_path / "m.json"
+    save_matrix(path, np.eye(4), np.int64(2))
+    assert load_matrix_meta(path)[1] == 2 and '"block_k":2,' in path.read_text()
 
 
 # The interpreter's own SHA-256 module: _sha2 on CPython 3.12 and later, _sha256 before.
@@ -839,3 +862,29 @@ def test_exit_2_means_not_solvable(tmp_path, capsys, case):
         expected = {"unsolvable": NotSolvable, "inconclusive": HypothesisViolated,
                     "solvable": type(None)}
         assert type(raised) is expected[want_status]
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_block(heading, language):
+    """The first ``language`` code block after ``heading`` in the README."""
+    text = README.read_text(encoding="utf-8")
+    text = text[text.index(heading):]
+    start = text.index(f"```{language}\n") + len(language) + 4
+    return text[start:text.index("```", start)]
+
+
+def test_readme_examples_run_as_written(tmp_path, monkeypatch, capsys):
+    # Each opeq line of the command line block exits 0, or the code its "# exits N" comment names,
+    # with an empty stderr; the library example prints what its comments say.
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in readme_block("## Command line", "sh").splitlines() if line.startswith("opeq ")]
+    assert len(lines) == 7
+    for line in lines:
+        command, _, comment = line.partition("#")
+        expected = re.match(r" exits (\d)", comment) if comment else None
+        assert run_command(shlex.split(command)[1:]) == (int(expected[1]) if expected else 0), line
+        assert capsys.readouterr().err == "", line
+    exec(readme_block("## Library example", "python"), {})
+    assert capsys.readouterr().out.splitlines() == ["True", "True 0.0"]

@@ -196,6 +196,13 @@ def test_intersection_random_invariants():
         assert rep.ax_eq_bz_residual <= 1e-10
         assert rep.azstar_eq_by_residual <= 1e-10
         assert rep.sqrt_range_in_basis.holds
+        # pn_s_residual, taken from W alone, is ||P_{S*} N_T N_S||_F with P_{S*} from numpy's SVD of S
+        s = np.hstack([a, b])
+        sv, vh = np.linalg.svd(s, full_matrices=False)[1:]
+        v = vh[sv > sv[0] * 1e-10 * max(s.shape)].conj().T
+        p_sstar = v @ v.conj().T
+        dense = p_sstar @ proj @ (np.eye(s.shape[1]) - p_sstar)
+        assert abs(rep.pn_s_residual - np.linalg.norm(dense)) <= 1e-12
 
 
 def test_cz_worked_instance():
@@ -255,6 +262,16 @@ def test_intersection_dim_is_the_inclusion_decision(sine):
     x, y, z, cz = solve_congruence_cz(a, b, ops["C"])
     assert cz.intersection_dim == 1
     assert verify("congruence-cz", ops, {"X": x, "Y": y, "Z": z}).passed
+
+
+@pytest.mark.parametrize("sine", [1e-9, 1e-12])
+def test_intersection_span_residual_is_the_angle_sine(sine):
+    # R((A X A*)^{1/2}) = R(A W1) = span(a), at angle arcsin(sine) from the basis vector b
+    a = np.array([[1.0], [0.0], [0.0]])
+    b = np.array([[np.sqrt(1.0 - sine ** 2)], [sine], [0.0]])
+    rep = range_intersection(a, b)
+    assert rep.dim == 1
+    assert rep.sqrt_range_in_basis.residual == pytest.approx(sine, rel=1e-3)
 
 
 def test_hyp3_and_the_cz_right_side_match_their_dense_products():

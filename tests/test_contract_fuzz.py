@@ -10,11 +10,12 @@ escape, no ``RuntimeWarning`` may be raised, and every answer ``solve``
 returns must pass :func:`verify`.
 
 The command-line arm mutates the bytes of one operand file, as
-:func:`~opeq.matrixio.save_matrix` writes it, and runs ``opeq solve`` on it:
-every run must exit 0 or 2 with nothing on stderr, or 1 with exactly one
-``error:`` line.
+:func:`~opeq.matrixio.save_matrix` writes it or in ``json.dumps``'s spaced
+layout, and runs ``opeq solve`` or ``opeq intersect`` on it: every run must
+exit 0 or 2 with nothing on stderr, or 1 with exactly one ``error:`` line.
 """
 
+import json
 import warnings
 from collections import Counter
 from functools import reduce
@@ -23,8 +24,9 @@ import numpy as np
 
 from opeq import DEFAULT_TOL, OpeqError, save_matrix, verify
 from opeq.cli import run_command
-from opeq.harness import EQUATIONS, ranked_matrix
+from opeq.harness import EQUATIONS, random_unitary, ranked_matrix
 from opeq.kernel import parse_signature
+from opeq.matrixio import matrix_to_obj
 from opeq.rng import Xoshiro256StarStar
 
 DRAWS = 1500
@@ -113,15 +115,68 @@ def test_mutated_matrix_files_keep_the_cli_exit_contract(tmp_path, capsys):
         argv = ["solve", tag, "--json"]
         for name in names:
             argv += [f"--{name}", str(mutated if name == target else files[name])]
-        try:
-            code = run_command(argv)
-        except Exception as exc:  # an escape is the failure this test looks for
-            code = repr(exc)
-        err = capsys.readouterr().err
+        code, err = run_cli(argv, capsys)
         codes[code] += 1
-        one_error_line = err.startswith("error: ") and err.count("\n") == 1
-        if not (code in (0, 2) and not err or code == 1 and one_error_line):
+        if not keeps_exit_contract(code, err):
             broken.append((tag, target, raw, code, err))
     assert not broken, broken[:3]
     # The mutations reach both accepted and refused files.
     assert codes[0] and codes[1] >= CLI_RUNS // 2, codes
+
+
+def run_cli(argv, capsys):
+    """Exit code of ``run_command(argv)``, or the repr of what escaped it, and its stderr."""
+    try:
+        code = run_command(argv)
+    except Exception as exc:  # an escape is the failure these tests look for
+        code = repr(exc)
+    return code, capsys.readouterr().err
+
+
+def keeps_exit_contract(code, err) -> bool:
+    one_error_line = err.startswith("error: ") and err.count("\n") == 1
+    return code in (0, 2) and not err or code == 1 and one_error_line
+
+
+def test_mutated_matrix_files_keep_the_exit_contract_of_the_other_commands(tmp_path, capsys):
+    # u, v, w orthonormal; R(A) = span(u, v) and R(B) = span(u, w) meet in span(u).  Unmutated,
+    # each command solves: C = w u* meets the three congruence hypotheses and both criteria, and
+    # C = A holds the intersection in its range.
+    rng = Xoshiro256StarStar(20261021)
+    u, v, w = random_unitary(rng, 3).T[:, :, None]
+    a = np.hstack([u, v]) @ ranked_matrix(rng, 2, 2, 2)
+    b = np.hstack([u, w]) @ ranked_matrix(rng, 2, 2, 2)
+    commands = {
+        ("solve", "orthogonal"): {"A": a, "B": b, "C": ranked_matrix(rng, 3, 3, 3)},
+        ("solve", "congruence"): {"A": a, "B": b, "C": w @ u.conj().T},
+        ("solve", "congruence-cz"): {"A": a, "B": b, "C": a},
+        ("intersect",): {"A": a, "B": b},
+    }
+    # Each operand in save_matrix's layout and in json.dumps's spaced one, which the whole-file decoder reads.
+    files = {}
+    for command, operands in commands.items():
+        for name, m in operands.items():
+            compact, spaced = (tmp_path / f"{'-'.join(command)}-{name}.{layout}.json" for layout in "cs")
+            save_matrix(compact, m)
+            spaced.write_text(json.dumps(matrix_to_obj(m)))
+            files[command, name] = compact, spaced
+    mutated = tmp_path / "mutated.json"
+    codes, broken = Counter(), []
+    for run in range(CLI_RUNS):
+        command = list(commands)[run % len(commands)]
+        layout = run // len(commands) % 2
+        names = list(commands[command])
+        target = names[rng.next_u64() % len(names)]
+        raw = mutate(files[command, target][layout].read_bytes(), rng)
+        mutated.write_bytes(raw)
+        argv = [*command, "--json"]
+        for name in names:
+            argv += [f"--{name}", str(mutated if name == target else files[command, name][layout])]
+        code, err = run_cli(argv, capsys)
+        codes[command[-1], layout, code] += 1
+        if not keeps_exit_contract(code, err):
+            broken.append((command, target, layout, raw, code, err))
+    assert not broken, broken[:3]
+    # In both layouts, each command's mutations reach both accepted and refused files.
+    assert all(codes[command[-1], layout, code]
+               for command in commands for layout in (0, 1) for code in (0, 1)), codes

@@ -158,3 +158,19 @@ def test_polar_range_check_random_rectangular():
     for _ in range(10):
         t = ranked_matrix(rng, 6, 4, 1 + rng.next_u64() % 4)
         assert polar_range_check(t).holds
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-7, 1e-8, 1e-9])
+def test_polar_range_check_keeps_every_singular_value_the_cutoff_keeps(s):
+    # The rank cutoff keeps every s above 4e-10, so |T*| must keep s too; a root of T T* would
+    # clamp s^2 below 1e-12 ||T||^2 and fail the check or hold with rank |T*| = 2.
+    rng = Xoshiro256StarStar(0)
+    u, v = random_unitary(rng, 4), random_unitary(rng, 4)
+    rep = polar_range_check(u @ np.diag([1.0, 0.5, s, 0.0]) @ v.conj().T)
+    assert rep.holds
+    assert rep.rank_data["rank_a"] == rep.rank_data["rank_b"] == 3
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0)])
+def test_polar_range_check_holds_on_an_empty_operator(shape):
+    assert polar_range_check(np.zeros(shape)).holds

@@ -221,15 +221,14 @@ def test_verify_scans_only_at_the_boundary(scan_count, eq):
 # count is one SVD per matrix the entry factors or measures, so a helper that factors an operand
 # twice breaks it: the Douglas and orthogonal solves measure ||D|| for lambda (douglas_factor's
 # certificate gets it back remembered), solve_scaled_equality also factors C for R(A) in R(C),
-# polar_range_check factors T and |T*|, range_intersection factors [A B] for its rank and its own
-# orthonormal basis for the span check, and the C Z solver takes the principal angles' SVD and
-# reuses A's or B's factorization for a C equal to either.
+# polar_range_check factors T and |T*|, range_intersection factors [A B] for its rank, and the C Z
+# solver takes the principal angles' SVD and reuses A's or B's factorization for a C equal to either.
 ENTRY_POINTS = {
     "reduced_solution": ("douglas", lambda o: opeq.reduced_solution(o["A"], o["C"]), (2, 0, 0)),
     "douglas_factor": ("douglas", lambda o: opeq.douglas_factor(o["A"], o["C"]), (2, 1, 0)),
     "solve_scaled_equality": ("douglas", lambda o: opeq.solve_scaled_equality(o["A"], o["C"], o["lam"]),
                               (3, 0, 0)),
-    "polar_range_check": ("douglas", lambda o: opeq.polar_range_check(o["A"]), (2, 1, 0)),
+    "polar_range_check": ("douglas", lambda o: opeq.polar_range_check(o["A"]), (2, 0, 0)),
     "diagnose_ax_yb": ("sylvester", lambda o: opeq.diagnose_ax_yb(o["A"], o["B"], o["C"]), (2, 0, 0)),
     "particular_ax_yb": ("sylvester", lambda o: opeq.particular_ax_yb(o["A"], o["B"], o["C"]), (2, 0, 0)),
     "homogeneous_ax_yb": ("sylvester", lambda o: opeq.homogeneous_ax_yb(
@@ -249,7 +248,7 @@ ENTRY_POINTS = {
     # With R(A) = R(B), V2 = A and V3 = B* satisfy both inclusions for any V1.
     "homogeneous_congruence": ("congruence-cz", lambda o: opeq.homogeneous_congruence(
         o["A"], o["B"], o["M"], o["A"], o["B"].conj().T), (2, 0, 0)),
-    "range_intersection": ("congruence-cz", lambda o: opeq.range_intersection(o["A"], o["B"]), (5, 1, 1)),
+    "range_intersection": ("congruence-cz", lambda o: opeq.range_intersection(o["A"], o["B"]), (4, 0, 1)),
     "solve_congruence_cz at C = A": ("congruence-cz", lambda o: opeq.solve_congruence_cz(
         o["A"], o["B"], o["A"]), (3, 0, 1)),
     "solve_congruence_cz at C = B": ("congruence-cz", lambda o: opeq.solve_congruence_cz(

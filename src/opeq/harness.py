@@ -393,7 +393,7 @@ def solvability_necessity_check(a, b, c, x, y, tol: ToleranceConfig = DEFAULT_TO
 
 def _solve_douglas(ops, tol, seed):
     rep = douglas.reduced_solution(ops["A"], ops["C"], tol)
-    return {"X": rep.d}, {"lambda_factor": rep.lambda_factor}
+    return {"X": rep.d}, {}
 
 
 def _solve_sylvester(ops, tol, seed):
@@ -404,8 +404,8 @@ def _solve_sylvester(ops, tol, seed):
 
 
 def _solve_orthogonal(ops, tol, seed):
-    x, y, lam = sylvester.solve_ax_by_orthogonal(ops["A"], ops["B"], ops["C"], tol)
-    return {"X": x, "Y": y}, {"lambda_factor": lam}
+    x, y, _ = sylvester.solve_ax_by_orthogonal(ops["A"], ops["B"], ops["C"], tol)
+    return {"X": x, "Y": y}, {}
 
 
 def _solve_congruence(ops, tol, seed):

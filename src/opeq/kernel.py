@@ -1,11 +1,11 @@
 """Dense complex matrix primitives: SVD, factorization, Moore-Penrose inverse, PSD square root.
 
-Operators are plain 2-D ``numpy`` arrays with complex128 entries.  Every rank
-decision goes through :func:`factor`, the one place the rank cutoff (see
-:class:`ToleranceConfig`) is applied; every relative residual is :func:`relative`,
-which range decisions compare with ``residual_rel``.  Input from outside the
-package is coerced and scanned once, by :func:`shaped` or a public primitive such
-as :func:`factor`; :func:`dagger`, :func:`fro` and :func:`spectral_norm` take arrays as given.
+Operators are plain 2-D ``numpy`` arrays with complex128 entries.  Every rank decision goes through
+:func:`factor`, the one place the rank cutoff (see :class:`ToleranceConfig`) is applied, and
+:func:`psd_sqrt` takes its root and its PSD verdict from that factorization; every relative residual is
+:func:`relative`, which range decisions compare with ``residual_rel``.  Input from outside the package
+is coerced and scanned once, by :func:`shaped` or a public primitive such as :func:`factor`;
+:func:`dagger`, :func:`fro` and :func:`spectral_norm` take arrays as given.
 :func:`factor` and :func:`spectral_norm` each remember their last result, so a certificate computed
 right after its solver reruns no SVD the solver already ran.  A remembered result is the one a fresh
 call computes, so no result depends on the calls before it.
@@ -65,12 +65,6 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
-
-# psd_sqrt's thresholds, relative to ||m||_2: the eigenvalue dust it clamps to zero runs from -PSD_DUST_REL
-# up to PSD_CUT_REL (below any meaningful eigenvalue, above eigh roundoff).  PSD_DUST_REL also bounds the
-# Hermitian defect, relative to ||m||_F with no absolute floor, so a common scaling of m changes no verdict.
-PSD_DUST_REL = 1e-10
-PSD_CUT_REL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
@@ -282,26 +276,20 @@ def pinv(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def psd_sqrt(m) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
+    """Principal square root U diag(sqrt(s)) U* of a Hermitian PSD ``m``, from :func:`factor`.
 
-    Eigenvalue dust in (-PSD_DUST_REL, PSD_CUT_REL) * ||m||_2 is clamped to zero; anything more negative
-    raises :class:`NotPSD`.  So a root of T T* loses T's singular values below sqrt(PSD_CUT_REL) ||T||.
+    m is Hermitian PSD exactly when its kept singular vectors agree, U = V, so :class:`NotPSD` is raised
+    when ||(U - V) diag(w)||_F > rank_rel ||w|| for the scale-free w = s / s_1, which scales down the
+    roundoff of a small kept s.  Eigenvalues at or below the rank cutoff are dust, whatever their sign.
     """
     m = as_matrix(m)
     if m.size == 0:
         raise EmptyMatrix("cannot take the square root of an empty matrix")
     if m.shape[0] != m.shape[1]:
         raise NotPSD(f"matrix of shape {m.shape} is not square")
-    defect = fro(m - dagger(m))
-    if not relative(defect, fro(m)) <= PSD_DUST_REL:
-        raise NotPSD(f"matrix is not Hermitian (defect {defect:.3e})")
-    w, q = np.linalg.eigh(m)
-    norm2 = max(abs(w[0]), abs(w[-1]))
-    if w[0] < -PSD_DUST_REL * norm2:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -{PSD_DUST_REL:g} * ||m||")
-    # Positive dust is clamped as well: the square root turns eigenvalues
-    # of size eps into sqrt(eps), which would fake a nonzero range where a
-    # product cancelled to zero.
-    w = np.where(w > PSD_CUT_REL * norm2, w, 0.0)
-    root = (q * np.sqrt(w)) @ q.conj().T
-    return (root + root.conj().T) / 2.0
+    f = factor(m)
+    w = f.s / f.norm
+    defect = relative(fro((f.u - f.v) * w), fro(w))
+    if not defect <= DEFAULT_TOL.rank_rel:
+        raise NotPSD(f"matrix is not Hermitian PSD (singular vector defect {defect:.3e})")
+    return (f.u * np.sqrt(f.s)) @ dagger(f.u)

@@ -88,11 +88,10 @@ def inclusion(c, f: Factorization, tol: ToleranceConfig = DEFAULT_TOL,
     return RangeDecision(holds=residual <= tol.residual_rel, residual=residual, rank_data={"rank_a": f.rank})
 
 
-def range_inclusion(c, a, tol: ToleranceConfig = DEFAULT_TOL,
-                    scale: float | None = None) -> RangeDecision:
+def range_inclusion(c, a, tol: ToleranceConfig = DEFAULT_TOL) -> RangeDecision:
     """Check ``c`` and ``a``, then decide R(c) subset-of R(a) by :func:`inclusion` on a new factorization."""
     c, a = shaped(INCLUSION_SIGNATURE, c, a)
-    return inclusion(c, factor(a, tol), tol, scale)
+    return inclusion(c, factor(a, tol), tol)
 
 
 def range_equal(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> RangeDecision:

@@ -308,7 +308,7 @@ def test_solve_douglas_and_range_not_contained(tmp_path, capsys):
                         "--json", "--out", str(out_dir)])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert report["lambda_factor"] == pytest.approx(0.49)
+    assert report["certificate"]["residuals"]["lambda"] == pytest.approx(0.49)
     np.testing.assert_allclose(load_matrix(out_dir / "X.json"), np.diag([0.7, 0.0]))
     assert run_command(["solve", "douglas", "--A", files["A"], "--C", files["C"]]) == 0
     assert "\nsolution:\n  X: matrix 2x2\n" in capsys.readouterr().out
@@ -517,7 +517,7 @@ def test_solve_orthogonal_and_cz_commands(tmp_path, capsys):
                         "--C", files["C"], "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert report["lambda_factor"] == pytest.approx(1.0)
+    assert report["certificate"]["residuals"]["lambda"] == pytest.approx(1.0)
     code = run_command(["solve", "congruence-cz", "--A", files["A"], "--B", files["A"],
                         "--C", files["EYE"], "--json"])
     report = json.loads(capsys.readouterr().out)
@@ -697,7 +697,7 @@ def test_solve_report_fields_leave_measurement_to_verify(tag):
     assert "norms" not in fields
     # A copy of a certificate number can hide under another name (say "residual"
     # for "equation"), so pin the fields to what the solvers construct.
-    assert keys <= {"lambda_factor", "intersection_dim", "decisions", "basis_in_range_c"}
+    assert keys <= {"intersection_dim", "decisions", "basis_in_range_c"}
 
 
 def test_diagnose_choices_are_the_table_entries_with_a_diagnosis():

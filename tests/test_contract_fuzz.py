@@ -10,9 +10,10 @@ escape, no ``RuntimeWarning`` may be raised, and every answer ``solve``
 returns must pass :func:`verify`.
 
 The command-line arm mutates the bytes of one operand file, as
-:func:`~opeq.matrixio.save_matrix` writes it or in ``json.dumps``'s spaced
-layout, and runs ``opeq solve`` or ``opeq intersect`` on it: every run must
-exit 0 or 2 with nothing on stderr, or 1 with exactly one ``error:`` line.
+:func:`~opeq.matrixio.save_matrix` writes it, in ``json.dumps``'s spaced
+layout or nested with its keys reordered, and runs ``opeq solve``,
+``opeq diagnose`` or ``opeq intersect`` on it: every run must exit 0 or 2
+with nothing on stderr, or 1 with exactly one ``error:`` line.
 """
 
 import json
@@ -140,8 +141,8 @@ def keeps_exit_contract(code, err) -> bool:
 
 def test_mutated_matrix_files_keep_the_exit_contract_of_the_other_commands(tmp_path, capsys):
     # u, v, w orthonormal; R(A) = span(u, v) and R(B) = span(u, w) meet in span(u).  Unmutated,
-    # each command solves: C = w u* meets the three congruence hypotheses and both criteria, and
-    # C = A holds the intersection in its range.
+    # each command solves: C = w u* meets the three congruence hypotheses and both criteria,
+    # C = A holds the intersection in its range, and the Sylvester C is A X + Y B.
     rng = Xoshiro256StarStar(20261021)
     u, v, w = random_unitary(rng, 3).T[:, :, None]
     a = np.hstack([u, v]) @ ranked_matrix(rng, 2, 2, 2)
@@ -151,20 +152,25 @@ def test_mutated_matrix_files_keep_the_exit_contract_of_the_other_commands(tmp_p
         ("solve", "congruence"): {"A": a, "B": b, "C": w @ u.conj().T},
         ("solve", "congruence-cz"): {"A": a, "B": b, "C": a},
         ("intersect",): {"A": a, "B": b},
+        ("diagnose", "sylvester"): {"A": a, "B": b.T,
+                                    "C": a @ ranked_matrix(rng, 2, 3, 2) + ranked_matrix(rng, 3, 2, 2) @ b.T},
+        ("diagnose", "congruence"): {"A": a, "B": b, "C": w @ u.conj().T},
     }
-    # Each operand in save_matrix's layout and in json.dumps's spaced one, which the whole-file decoder reads.
+    # Each operand in save_matrix's layout, in json.dumps's spaced one, and nested with its keys
+    # reordered; the whole-file decoder reads the last two.
+    layouts = (save_matrix, lambda path, m: path.write_text(json.dumps(matrix_to_obj(m))),
+               lambda path, m: path.write_text(json.dumps(matrix_to_obj(m), indent=2, sort_keys=True)))
     files = {}
     for command, operands in commands.items():
         for name, m in operands.items():
-            compact, spaced = (tmp_path / f"{'-'.join(command)}-{name}.{layout}.json" for layout in "cs")
-            save_matrix(compact, m)
-            spaced.write_text(json.dumps(matrix_to_obj(m)))
-            files[command, name] = compact, spaced
+            files[command, name] = [tmp_path / f"{'-'.join(command)}-{name}.{layout}.json" for layout in "csn"]
+            for write, path in zip(layouts, files[command, name]):
+                write(path, m)
     mutated = tmp_path / "mutated.json"
     codes, broken = Counter(), []
     for run in range(CLI_RUNS):
         command = list(commands)[run % len(commands)]
-        layout = run // len(commands) % 2
+        layout = run // len(commands) % len(layouts)
         names = list(commands[command])
         target = names[rng.next_u64() % len(names)]
         raw = mutate(files[command, target][layout].read_bytes(), rng)
@@ -173,10 +179,10 @@ def test_mutated_matrix_files_keep_the_exit_contract_of_the_other_commands(tmp_p
         for name in names:
             argv += [f"--{name}", str(mutated if name == target else files[command, name][layout])]
         code, err = run_cli(argv, capsys)
-        codes[command[-1], layout, code] += 1
+        codes[command, layout, code] += 1
         if not keeps_exit_contract(code, err):
             broken.append((command, target, layout, raw, code, err))
     assert not broken, broken[:3]
-    # In both layouts, each command's mutations reach both accepted and refused files.
-    assert all(codes[command[-1], layout, code]
-               for command in commands for layout in (0, 1) for code in (0, 1)), codes
+    # In every layout, each command's mutations reach both accepted and refused files.
+    assert all(codes[command, layout, code]
+               for command in commands for layout in range(len(layouts)) for code in (0, 1)), codes

@@ -223,7 +223,11 @@ def test_verify_scans_only_at_the_boundary(scan_count, eq):
 # certificate gets it back remembered), solve_scaled_equality also factors C for R(A) in R(C),
 # polar_range_check factors T and |T*|, range_intersection factors [A B] for its rank, and the C Z
 # solver takes the principal angles' SVD and reuses A's or B's factorization for a C equal to either.
+# psd_sqrt and modulus take the root from their operand's one SVD, with no eigendecomposition.
 ENTRY_POINTS = {
+    "psd_sqrt": ("douglas", lambda o: opeq.psd_sqrt(o["A"] @ o["A"].conj().T), (1, 0, 0)),
+    "modulus": ("douglas", lambda o: opeq.modulus(opeq.ModuleElement(opeq.ModuleContext(k=2, n=6),
+                                                                      o["A"][:, :2])), (1, 0, 0)),
     "reduced_solution": ("douglas", lambda o: opeq.reduced_solution(o["A"], o["C"]), (2, 0, 0)),
     "douglas_factor": ("douglas", lambda o: opeq.douglas_factor(o["A"], o["C"]), (2, 1, 0)),
     "solve_scaled_equality": ("douglas", lambda o: opeq.solve_scaled_equality(o["A"], o["C"], o["lam"]),
@@ -298,6 +302,7 @@ CALLS_ON_M = {
     "factor": lambda: opeq.factor(M),
     "svd": lambda: opeq.svd(M),
     "pinv": lambda: opeq.pinv(M),
+    "psd_sqrt": lambda: opeq.psd_sqrt(M @ M.conj().T),
     "spectral_norm": lambda: spectral_norm(M),
     "reduced_solution": lambda: opeq.reduced_solution(M, MW),
     "douglas_factor": lambda: opeq.douglas_factor(M, MW),

@@ -189,31 +189,28 @@ def test_psd_sqrt_rejects_non_hermitian():
         psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("k", [-400, -200, -66, 0, 66, 200, 400])
+@pytest.mark.parametrize("k", [-1000, -600, -400, -200, -66, 0, 66, 200, 400, 600, 1000])
 def test_psd_sqrt_verdict_is_scale_invariant(k):
-    # The Hermitian check is relative to ||m||, so a common scaling 2^k changes no verdict.
-    with pytest.raises(NotPSD):
-        psd_sqrt(2.0 ** k * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # The verdict reads singular vectors weighted by s / s_1, so a common scaling changes no verdict,
+    # down to subnormal entries.
+    for scale in (2.0 ** k, 1e-320):
+        with pytest.raises(NotPSD):
+            psd_sqrt(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
     m = np.array([[2.0, 1.0j], [-1.0j, 1.0]])
     np.testing.assert_allclose(psd_sqrt(2.0 ** k * m), 2.0 ** (k // 2) * psd_sqrt(m), rtol=1e-13)
-    # With no absolute floor, the zero matrix passes only because its defect is exactly 0.
+    # The zero matrix has rank 0, so it has no singular vectors that could disagree.
     np.testing.assert_array_equal(psd_sqrt(np.zeros((2, 2))), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("k", [600, 1000])
 def test_psd_sqrt_fails_closed_on_overflow(k):
-    """Beyond about 2^500, ||m||_F overflows to inf; the relative Hermitian defect is then NaN,
-    which fails, so a non-Hermitian m raises NotPSD instead of passing as inf <= inf.
-
-    The downward half stays wrong: 2^-600 * [[0, 1], [0, 0]] still returns the zero matrix,
-    because its defect and its norm both underflow to an exact 0, which no relative rule can
-    tell from a true zero.  Normalising each operand by a power of two at entry (ROADMAP,
-    scale-safe entry normalisation) is what will mend it.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
+    """No norm of m is squared, so nothing overflows or underflows: a non-Hermitian m raises
+    NotPSD at 2^k and at 2^-k, where an exact 0 from an underflowed defect would pass it, and a
+    PSD m at 2^600 keeps its root."""
+    for scale in (2.0 ** k, 2.0 ** -k):
         with pytest.raises(NotPSD, match="not Hermitian"):
-            psd_sqrt(2.0 ** k * np.array([[0.0, 1.0], [0.0, 0.0]]))
-        np.testing.assert_allclose(psd_sqrt(2.0 ** 600 * np.eye(2)), 2.0 ** 300 * np.eye(2), rtol=1e-13)
+            psd_sqrt(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    np.testing.assert_allclose(psd_sqrt(2.0 ** 600 * np.eye(2)), 2.0 ** 300 * np.eye(2), rtol=1e-13)
 
 
 def test_relative_is_one_rule_for_zero_and_overflowed_scales():
@@ -233,9 +230,9 @@ def test_no_module_has_an_absolute_floor():
     assert sources and [p.name for p in sources if floor.search(p.read_text())] == []
 
 
-def test_only_primitives_keep_fixed_thresholds():
-    """Certificates read every threshold from ToleranceConfig.  The only module-level float constants
-    below 1e-3 belong to primitives that take no ToleranceConfig: psd_sqrt and check_module_linearity."""
+def test_no_module_keeps_a_fixed_threshold():
+    """Every threshold comes from ToleranceConfig: no module-level float constant below 1e-3 is left,
+    not even in primitives such as psd_sqrt and check_module_linearity that take no ToleranceConfig."""
     small = set()
     for path in sorted(Path(opeq.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -247,7 +244,7 @@ def test_only_primitives_keep_fixed_thresholds():
                 if isinstance(value, float) and abs(value) < 1e-3:
                     targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                     small |= {f"{path.stem}.{ast.unparse(t)}" for t in targets}
-    assert small == {"kernel.PSD_DUST_REL", "kernel.PSD_CUT_REL", "modules.LINEARITY_REL"}
+    assert small == set()
 
 
 @pytest.mark.parametrize("signature", ["A(m,p), C(m,n) -> X(p,n", "A(m), C(m,n)", "A(m,p) C(m,n) -> X((p,n)"])
@@ -269,6 +266,21 @@ def test_psd_sqrt_clamps_eigenvalue_dust():
     s = psd_sqrt(m)
     assert np.linalg.eigvalsh(s)[0] >= -1e-14
     assert np.linalg.norm(s @ s - m) <= 1e-10 * np.linalg.norm(m)
+
+
+def test_psd_sqrt_cuts_eigenvalue_dust_at_the_rank_cutoff():
+    # Eigenvalues at or below the rank cutoff rank_rel * n * ||m||_2 are dust, whatever their sign:
+    # 1e-11 at n = 4 (cutoff 4e-10) loses its 3.2e-6 root direction, and -1e-9 at n = 192 (cutoff
+    # 1.92e-8) raises no NotPSD.
+    q = random_unitary(Xoshiro256StarStar(11), 4)
+    m = (q * [1.0, 1.0, 1.0, 1e-11]) @ q.conj().T
+    root = psd_sqrt(m)
+    assert np.linalg.matrix_rank(root, 1e-8) == 3
+    assert np.linalg.norm(root @ root - m) == pytest.approx(1e-11, rel=1e-3)
+    q = random_unitary(Xoshiro256StarStar(12), 192)
+    m = (q * np.r_[np.ones(191), -1e-9]) @ q.conj().T
+    root = psd_sqrt(m)
+    assert np.linalg.norm(root @ root - m) <= 1e-8
 
 
 def test_psd_sqrt_squares_back_and_commutes():

@@ -75,6 +75,16 @@ def test_modulus_examples():
     np.testing.assert_allclose(modulus(elem(ctx, [[3.0], [4.0]])).data, [[5.0]], atol=1e-12)
 
 
+@pytest.mark.parametrize("s", [1e-5, 1e-7, 1e-9])
+def test_modulus_keeps_every_singular_value_the_rank_cutoff_keeps(s):
+    # |x| = V diag(s) V* is read off x itself: a Gram-matrix root would square 1e-9 into 1e-18,
+    # far below any dust cut, and lose it.
+    x = elem(ModuleContext(k=2, n=1), np.diag([1.0, s]))
+    mod = modulus(x).data
+    assert np.linalg.matrix_rank(mod, 1e-12) == 2
+    np.testing.assert_allclose(mod, np.diag([1.0, s]), rtol=1e-14, atol=0.0)
+
+
 def test_adjoint_examples():
     ctx = ModuleContext(k=1, n=2)
     herm = ModuleOperator(ctx, ctx, np.array([[2.0, 1j], [-1j, 3.0]]))

@@ -18,7 +18,8 @@ from .exceptions import (
     IntersectionNotInRangeC,
     NotSolvable,
 )
-from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, relative, shaped
+from .kernel import (DEFAULT_TOL, Factorization, ToleranceConfig, _lapack_svd, dagger, factor, fro, relative,
+                     shaped)
 from .projections import RangeDecision, inclusion
 
 __all__ = [
@@ -203,7 +204,7 @@ def _kernel_projection(a, b, tol):
     """
     p, q = a.shape[1], b.shape[1]
     fa, fb = factor(a, tol), factor(b, tol)
-    sines, vh = np.linalg.svd(fa.n_astar(fb.u), full_matrices=False)[1:]
+    sines, vh = _lapack_svd(fa.n_astar(fb.u), full_matrices=False)[1:]
     basis = fb.u @ dagger(vh[sines <= tol.residual_rel])
     dim, ones = basis.shape[1], np.ones(basis.shape[1])
     span = Factorization(a=basis, u=basis, s=ones, v=np.eye(dim, dtype=np.complex128), singular_values=ones,

@@ -8,6 +8,7 @@ true for general Hilbert modules and is asserted nowhere in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,8 @@ def reduced_solution(a, c, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedSolutio
     """Solve A X = C by the reduced (minimum-norm) solution D = pinv(A) C.
 
     Raises :class:`RangeNotContained` when R(C) is not inside R(A), i.e.
-    when the equation has no solution.
+    when the equation has no solution, and :class:`ToleranceAnomaly` when
+    D overflows, so that ||D||_2 is not finite.
     """
     a, c = shaped(SIGNATURE, a, c)
     return _reduced_solution(factor(a, tol), c, tol)
@@ -58,6 +60,8 @@ def _reduced_solution(fa: Factorization, c, tol) -> ReducedSolutionReport:
         )
     d = fa.pinv(c)
     norm_d = spectral_norm(d)  # squared as a product, which overflows to inf, not OverflowError
+    if not math.isfinite(norm_d):
+        raise ToleranceAnomaly(f"the reduced solution overflowed: ||D||_2 = {norm_d}")
     return ReducedSolutionReport(d=d, lambda_factor=norm_d * norm_d)
 
 

@@ -8,18 +8,16 @@ xoshiro256** stream (see :mod:`opeq.rng`).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from . import congruence, douglas, sylvester
 from .douglas import majorization_certificate
 from .exceptions import InfeasibleSpec, MissingMatrix, NotASolution, ToleranceAnomaly, UnknownEquationTag
-from .kernel import (DEFAULT_TOL, ToleranceConfig, dagger, factor, fro, parse_signature, relative, shaped,
-                     spectral_norm)
+from .kernel import (DEFAULT_TOL, ToleranceConfig, backward_error, dagger, factor, fro, parse_formula,
+                     parse_signature, relative, shaped, spectral_norm)
 from .projections import RangeDecision
 from .rng import Xoshiro256StarStar, complex_normal_matrix
 
@@ -138,8 +136,8 @@ def _gen_sylvester(spec: InstanceSpec, rng) -> dict:
         norm_blocked = fro(blocked)
         if norm_blocked == 0.0:
             raise InfeasibleSpec("injected component degenerated to zero")
-        # Frobenius-orthogonal to A X0 + Y0 B, so the classical residual of
-        # the combined C stays at or above 1/sqrt(2) of its norm.
+        # Frobenius-orthogonal to A X0 + Y0 B, so ||N_{A*} C N_B||_F, what the
+        # particular pair leaves of the combined C, stays at or above 1/sqrt(2) ||C||_F.
         blocked *= max(fro(c), 1.0) / norm_blocked
         out = {"A": a, "B": b, "C": c + blocked}
     return out
@@ -274,23 +272,11 @@ def verify(equation: str, operators: dict, solution: dict,
         raise MissingMatrix(f"{tag}: missing {', '.join(missing)}")
     mats = shaped(eq.signature, *(operators[name] for name in eq.operands),
                   *(solution[name] for name in eq.unknowns))
-    error = _backward_error(eq.terms, dict(zip(eq.operands + eq.unknowns, mats)))
+    error = backward_error(eq.terms, dict(zip(eq.operands + eq.unknowns, mats)))
     residuals, failed = eq.verify(*mats, tol) if eq.verify else ({}, {})
     failed = {"equation": not error <= tol.residual_rel, **failed}
     failures = tuple(name for name, bad in failed.items() if bad)
     return Certificate(tag, {"equation": error, **residuals}, not failures, failures)
-
-
-def _backward_error(terms: tuple, mats: dict) -> float:
-    """||sum of the signed terms||_F, :func:`relative` to the sum of their factor-norm products (Rigal-Gaches,
-    Higham): 0.0 for an exactly zero sum, NaN, which fails, for any other over a zero or overflowed scale."""
-    norms = {name: fro(m) for name, m in mats.items()}
-    total, scale = 0.0, 0.0
-    for sign, factors in terms:
-        product = reduce(np.matmul, (dagger(mats[n]) if adjoint else mats[n] for n, adjoint in factors))
-        total = total + product if sign > 0 else total - product
-        scale += math.prod(norms[n] for n, _ in factors)
-    return relative(fro(total), scale)
 
 
 def _verify_douglas(a, c, x, tol):
@@ -435,7 +421,7 @@ class Equation:
     """One equation: its shape signature, formula, and solve, :func:`verify` and diagnose adapters.
 
     ``formula`` writes the equation in the signature's ``operands`` and ``unknowns`` (``A*`` is A's
-    adjoint); ``terms`` holds its products, (sign, ((name, adjoint), ...)), -1 right of ``=``.
+    adjoint); ``terms`` holds its signed products, from :func:`~opeq.kernel.parse_formula`.
     ``solve(operators, tol, seed)`` returns the solution :func:`verify` reads and the other report fields,
     ``seed`` drawing the free parameters of shape signature ``parameters``.  ``verify(*operands,
     *unknowns, tol)``, None where the formula says all, gives the residuals and failures of the answer's
@@ -456,17 +442,12 @@ class Equation:
         # Derived once here: a per-call parse would cost every verify.
         for side, entries in zip(("operands", "unknowns"), parse_signature(self.signature)):
             object.__setattr__(self, side, tuple(name for name, _, _ in entries))
-        lhs, _, rhs = self.formula.partition("=")
-        terms = tuple((sign, tuple((token.removesuffix("*"), token.endswith("*")) for token in term.split()))
-                      for sign, side in ((1, lhs), (-1, rhs)) for term in side.split("+"))
-        if not all(f and {n for n, _ in f} <= {*self.operands, *self.unknowns} for _, f in terms):
-            raise ValueError(f"malformed formula {self.formula!r} for {self.signature!r}")
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", parse_formula(self.formula, self.signature))
 
 
 EQUATIONS = {
     "douglas": Equation(douglas.SIGNATURE, "A X = C", _solve_douglas, _verify_douglas),
-    "sylvester": Equation(sylvester.SIGNATURE, "A X + Y B = C", _solve_sylvester, None, _diagnose_sylvester,
+    "sylvester": Equation(sylvester.SIGNATURE, sylvester.FORMULA, _solve_sylvester, None, _diagnose_sylvester,
                           sylvester.PARAMETER_SIGNATURE),
     "orthogonal": Equation(sylvester.ORTHOGONAL_SIGNATURE, "A X + B Y = C", _solve_orthogonal,
                            _verify_orthogonal),

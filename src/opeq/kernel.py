@@ -5,7 +5,9 @@ Operators are plain 2-D ``numpy`` arrays with complex128 entries.  Every rank de
 :func:`psd_sqrt` takes its root and its PSD verdict from that factorization; every relative residual is
 :func:`relative`, which range decisions compare with ``residual_rel``.  Input from outside the package
 is coerced and scanned once, by :func:`shaped` or a public primitive such as :func:`factor`;
-:func:`dagger`, :func:`fro` and :func:`spectral_norm` take arrays as given.
+:func:`dagger`, :func:`fro` and :func:`spectral_norm` take arrays as given.  Every equation residual,
+a certificate's or a verdict's, is :func:`backward_error`.  An SVD that does not converge raises
+ToleranceAnomaly.
 :func:`factor` and :func:`spectral_norm` each remember their last result, so a certificate computed
 right after its solver reruns no SVD the solver already ran.  A remembered result is the one a fresh
 call computes, so no result depends on the calls before it.
@@ -16,11 +18,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, EmptyMatrix, InvalidMatrix, NotPSD
+from .exceptions import DimensionMismatch, EmptyMatrix, InvalidMatrix, NotPSD, ToleranceAnomaly
 
 __all__ = [
     "ToleranceConfig",
@@ -28,6 +30,7 @@ __all__ = [
     "Factorization",
     "as_matrix",
     "parse_signature",
+    "parse_formula",
     "shaped",
     "svd",
     "rank_cutoff",
@@ -36,6 +39,7 @@ __all__ = [
     "psd_sqrt",
     "fro",
     "relative",
+    "backward_error",
     "spectral_norm",
     "dagger",
 ]
@@ -100,6 +104,20 @@ def parse_signature(signature: str) -> tuple:
     return parsed
 
 
+@lru_cache(maxsize=None)
+def parse_formula(formula: str, signature: str) -> tuple:
+    """The terms (sign, ((name, adjoint), ...)) of ``formula``, sign -1 right of ``=`` and ``A*`` A's adjoint;
+    a term that is empty or names a matrix ``signature`` lacks raises ``ValueError``."""
+    operands, unknowns = parse_signature(signature)
+    names = {name for name, _, _ in operands + unknowns}
+    lhs, _, rhs = formula.partition("=")
+    terms = tuple((sign, tuple((token.removesuffix("*"), token.endswith("*")) for token in term.split()))
+                  for sign, side in ((1, lhs), (-1, rhs)) for term in side.split("+"))
+    if not all(f and {n for n, _ in f} <= names for _, f in terms):
+        raise ValueError(f"malformed formula {formula!r} for {signature!r}")
+    return terms
+
+
 def shaped(signature: str, *mats) -> list:
     """Coerce ``mats`` with :func:`as_matrix` and check them against ``signature``.
 
@@ -137,6 +155,26 @@ def relative(value: float, scale: float) -> float:
     return value / scale if 0.0 < scale < math.inf else math.nan
 
 
+def backward_error(terms: tuple, mats: dict) -> float:
+    """||sum of the signed :func:`parse_formula` terms||_F, :func:`relative` to the sum of their factor-norm
+    products (Rigal-Gaches, Higham): 0.0 for an exactly zero sum, NaN over a zero or overflowed scale."""
+    norms = {name: fro(m) for name, m in mats.items()}
+    total, scale = 0.0, 0.0
+    for sign, factors in terms:
+        product = reduce(np.matmul, (dagger(mats[n]) if adjoint else mats[n] for n, adjoint in factors))
+        total = total + product if sign > 0 else total - product
+        scale += math.prod(norms[n] for n, _ in factors)
+    return relative(fro(total), scale)
+
+
+def _lapack_svd(m: np.ndarray, **kwargs):
+    """``np.linalg.svd(m, **kwargs)``, with LAPACK's failure to converge raised as :class:`ToleranceAnomaly`."""
+    try:
+        return np.linalg.svd(m, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ToleranceAnomaly(f"{exc} on a {m.shape[0]}x{m.shape[1]} matrix") from exc
+
+
 # The last results of factor and spectral_norm, one slot each and per process: factor's is
 # ((tol, anchor), Factorization), whose ``a`` is a private copy of the operand; spectral_norm's is
 # (copy of the operand, norm).  Copies and factors are read-only, so no caller can change what a
@@ -165,7 +203,7 @@ def spectral_norm(m: np.ndarray) -> float:
     measured = _last_norm
     if measured is not None and np.array_equal(measured[0], m):
         return measured[1]
-    norm = float(np.linalg.svd(m, compute_uv=False)[0])
+    norm = float(_lapack_svd(m, compute_uv=False)[0])
     _last_norm = (_read_only(m.copy()), norm)
     return norm
 
@@ -251,7 +289,7 @@ def factor(a, tol: ToleranceConfig = DEFAULT_TOL, anchor: float | None = None) -
         u, sv, vh = (np.zeros((rows, 0), dtype=np.complex128), np.zeros(min(rows, cols)),
                      np.zeros((0, cols), dtype=np.complex128))
     else:
-        u, sv, vh = np.linalg.svd(a, full_matrices=False)
+        u, sv, vh = _lapack_svd(a, full_matrices=False)
     u, sv = _read_only(u), _read_only(sv)
     norm = float(sv[0]) if sv.size else 0.0
     r = int(np.count_nonzero(sv > rank_cutoff(norm if anchor is None else anchor, a.shape, tol)))

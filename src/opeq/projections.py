@@ -82,9 +82,14 @@ def inclusion(c, f: Factorization, tol: ToleranceConfig = DEFAULT_TOL,
     """
     if scale is None:
         scale = fro(c)
-    residual = relative(fro(f.n_astar(c)), scale)
+    return _decision(relative(fro(f.n_astar(c)), scale), f, tol)
+
+
+def _decision(residual: float, f: Factorization, tol: ToleranceConfig) -> RangeDecision:
+    """R(C) subset-of R(A), ``f`` the factorization of A, holds when ``residual`` is at most ``residual_rel``;
+    a residual that is not finite raises :class:`ToleranceAnomaly` rather than deciding."""
     if not math.isfinite(residual):
-        raise ToleranceAnomaly(f"range decision has no finite residual over scale {scale:.3e}")
+        raise ToleranceAnomaly(f"range decision has no finite residual ({residual})")
     return RangeDecision(holds=residual <= tol.residual_rel, residual=residual, rank_data={"rank_a": f.rank})
 
 

@@ -15,8 +15,9 @@ import numpy as np
 
 from .douglas import _reduced_solution
 from .exceptions import NotSolvable
-from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, factor, fro, shaped
-from .projections import RangeDecision, inclusion
+from .kernel import (DEFAULT_TOL, Factorization, ToleranceConfig, backward_error, factor, parse_formula,
+                     shaped)
+from .projections import RangeDecision, _decision
 from .rng import Xoshiro256StarStar, complex_normal_matrix
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 SIGNATURE = "A(m,p), B(q,n), C(m,n) -> X(p,n), Y(m,q)"
+FORMULA = "A X + Y B = C"
 # The free parameters of the homogeneous pair, after the operands they go with.
 PARAMETER_SIGNATURE = "A(m,p), B(q,n), W1(p,n), W'(p,q), W4(m,q)"
 ORTHOGONAL_SIGNATURE = "A(m,p), B(m,q), C(m,n) -> X(p,n), Y(q,n)"
@@ -40,53 +42,52 @@ ORTHOGONAL_SIGNATURE = "A(m,p), B(m,q), C(m,n) -> X(p,n), Y(q,n)"
 class SylvesterDiagnosis:
     """Solvability certificate for A X + Y B = C.
 
-    ``cond_range_cnb``    R(C N_B) subset-of R(A), decided by ||N_{A*} C N_B||_F <= residual_rel ||C||_F;
-                          the paper's R(P_{B*} C*) subset-of R(B*) holds by construction,
-                          P_{B*} projecting onto the closed R(B*)
-    ``classical_residual`` ||N_{A*} C N_B||_F, the (I - A A+) C (I - B+ B) test
-    ``solvable``          the range condition holds; the particular pair leaves C - A X - Y B =
-                          N_{A*} C N_B, so :func:`~opeq.harness.verify` certifies it up to roundoff
+    ``cond_range_cnb``  R(C N_B) subset-of R(A); its residual is the backward error :func:`~opeq.harness.verify`
+                        reads on the particular pair x_p = A+ C N_B, y_p = C B+, which leaves
+                        C - A x_p - y_p B = N_{A*} C N_B, and it holds up to ``residual_rel``;
+                        the paper's R(P_{B*} C*) subset-of R(B*) holds by construction,
+                        P_{B*} projecting onto the closed R(B*)
+    ``solvable``        the range condition holds, so verify certifies the particular pair
     """
 
     cond_range_cnb: RangeDecision
-    classical_residual: float
     solvable: bool
 
 
 def diagnose_ax_yb(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> SylvesterDiagnosis:
     a, b, c = shaped(SIGNATURE, a, b, c)
-    return _diagnose(factor(a, tol), factor(b, tol), c, tol)
+    return _diagnose(factor(a, tol), factor(b, tol), c, tol)[0]
 
 
-def _diagnose(fa: Factorization, fb: Factorization, c, tol) -> SylvesterDiagnosis:
-    norm_c = fro(c)
-    cond_cnb = inclusion(fb.right_n_a(c), fa, tol, scale=norm_c)
-    return SylvesterDiagnosis(cond_range_cnb=cond_cnb, classical_residual=cond_cnb.residual * norm_c,
-                              solvable=cond_cnb.holds)
+def _diagnose(fa: Factorization, fb: Factorization, c, tol):
+    """The diagnosis and the particular pair (x_p, y_p) it decides on; a NaN backward error raises."""
+    x_p, y_p = fa.pinv(fb.right_n_a(c)), fb.right_pinv(c)
+    mats = {"A": fa.a, "B": fb.a, "C": c, "X": x_p, "Y": y_p}
+    decision = _decision(backward_error(parse_formula(FORMULA, SIGNATURE), mats), fa, tol)
+    return SylvesterDiagnosis(cond_range_cnb=decision, solvable=decision.holds), (x_p, y_p)
 
 
 def particular_ax_yb(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
     """Particular pair (x_p, y_p) with A x_p + y_p B = C.
 
     x_p is the reduced solution of A X = P_A C N_B and y_p the adjoint of
-    the reduced solution of B* Y* = P_{B*} C*; they recombine through the
-    identity P_A C N_B + C P_{B*} = C, which holds exactly when the
-    diagnosis accepts the instance.
+    the reduced solution of B* Y* = P_{B*} C*; they leave C - A x_p - y_p B =
+    N_{A*} C N_B, and the pair is returned when its backward error, the one
+    :func:`~opeq.harness.verify` certifies, is at most ``residual_rel``.
     """
     a, b, c = shaped(SIGNATURE, a, b, c)
     return _particular(factor(a, tol), factor(b, tol), c, tol)
 
 
 def _particular(fa: Factorization, fb: Factorization, c, tol):
-    diag = _diagnose(fa, fb, c, tol)
+    diag, pair = _diagnose(fa, fb, c, tol)
     if not diag.solvable:
         raise NotSolvable(
-            "A X + Y B = C has no solution: "
-            f"R(C N_B) is not in R(A) (residual {diag.cond_range_cnb.residual:.3e}), "
-            f"classical residual {diag.classical_residual:.3e}",
+            "A X + Y B = C has no solution: R(C N_B) is not in R(A) "
+            f"(backward error {diag.cond_range_cnb.residual:.3e} of the particular pair)",
             diagnosis=diag,
         )
-    return fa.pinv(fb.right_n_a(c)), fb.right_pinv(c)
+    return pair
 
 
 def homogeneous_ax_yb(a, b, w1, wprime, w4, tol: ToleranceConfig = DEFAULT_TOL):

@@ -286,7 +286,19 @@ def test_diagnose_sylvester_unsolvable_exit_2(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert not report["solvable"]
-    assert report["residuals"]["classical_residual"] == pytest.approx(1.0)
+    # The particular pair is (0, 0): its backward error ||C|| / ||C|| is the decision's residual.
+    assert report["decisions"]["cond_range_cnb"]["residual"] == pytest.approx(1.0)
+    assert "residuals" not in report
+
+
+def test_solve_douglas_on_a_subnormal_coefficient_exits_1(tmp_path, capsys):
+    # LAPACK does not converge on the NaN reduced solution: one ToleranceAnomaly line, no traceback.
+    files = save_instance(tmp_path, A=np.full((2, 2), 1e-317), C=np.zeros((2, 2)))
+    assert run_command(["solve", "douglas", "--A", files["A"], "--C", files["C"], "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ToleranceAnomaly: SVD did not converge")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_solve_unsolvable_prints_certificate(tmp_path, capsys):

@@ -14,6 +14,7 @@ from opeq import (
     polar_range_check,
     projection_quad,
     reduced_solution,
+    solve_ax_by_orthogonal,
     solve_scaled_equality,
 )
 from opeq import douglas
@@ -41,6 +42,31 @@ def test_reduced_solution_range_not_contained():
     with pytest.raises(RangeNotContained) as err:
         reduced_solution(np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]]))
     assert err.value.decision.residual == pytest.approx(1.0)
+
+
+def test_subnormal_coefficient_raises_an_opeq_error():
+    # Its kept singular value 2e-317 inverts past the double range, so D is NaN, and LAPACK's
+    # failure to converge on it is a ToleranceAnomaly, not numpy's LinAlgError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ToleranceAnomaly, match="did not converge"):
+            reduced_solution(np.full((2, 2), 1e-317), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("solve", [lambda c: reduced_solution([[1e-300]], c),
+                                   lambda c: solve_ax_by_orthogonal([[1e-300]], [[1e-300]], c)],
+                         ids=["douglas", "orthogonal"])
+def test_a_reduced_solution_that_overflows_raises(solve):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ToleranceAnomaly, match="overflowed"):
+        solve([[1e300]])
+
+
+def test_a_finite_norm_whose_square_overflows_keeps_lambda_inf():
+    # ||D||_2 = 1e200, so lambda = inf, which verify's majorization gap fails.
+    ops = {"A": [[1e-100]], "C": [[1e100]]}
+    rep = reduced_solution(ops["A"], ops["C"])
+    assert rep.lambda_factor == np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert verify("douglas", ops, {"X": rep.d}).failures == ("majorization_gap",)
 
 
 def test_reduced_solution_dimension_mismatch():

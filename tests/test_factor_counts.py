@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import opeq
-from opeq import DEFAULT_TOL, OpeqError, as_matrix
+from opeq import DEFAULT_TOL, NotSolvable, OpeqError, as_matrix
 from opeq.harness import EQUATIONS, InstanceSpec, generate, ranked_matrix, verify
 from opeq.kernel import spectral_norm
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
@@ -270,6 +270,34 @@ def test_entry_point_lapack_counts(forget, svd_count, eig_count, qr_count, name)
         forget()
         measured.append(count(lambda: call(ops)))
     assert tuple(measured) == counts
+
+
+# Sylvester entry point -> its call on a sylvester-unsolvable instance, which it refuses.  The verdict is
+# the particular pair's backward error, and the pair is built from the two factorizations the call
+# already holds: (SVD, eigendecomposition, QR, finiteness scan) counts are the solvable pins', with
+# no factorization or scan added for the pair.
+REFUSALS = {
+    "diagnose_ax_yb": lambda o: opeq.diagnose_ax_yb(o["A"], o["B"], o["C"]),
+    "solve_ax_yb": lambda o: opeq.solve_ax_yb(o["A"], o["B"], o["C"]),
+}
+
+
+def refuse(call):
+    try:
+        diag = call()
+    except NotSolvable as exc:
+        diag = exc.diagnosis
+    assert not diag.solvable
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_sylvester_refusal_counts(forget, svd_count, eig_count, qr_count, scan_count, name):
+    ops = instance("sylvester-unsolvable")
+    measured = []
+    for count in (svd_count, eig_count, qr_count, scan_count):
+        forget()
+        measured.append(count(lambda: refuse(lambda: REFUSALS[name](ops))))
+    assert tuple(measured) == (2, 0, 0, 5)
 
 
 def fingerprint(value) -> bytes:

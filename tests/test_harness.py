@@ -18,6 +18,7 @@ from opeq import (
     diagnose_ax_yb,
     diagnose_congruence,
     generate,
+    projection_quad,
     range_equal,
     solvability_necessity_check,
     solve_ax_by_orthogonal,
@@ -113,9 +114,11 @@ def test_sylvester_solvable_contract():
 def test_sylvester_unsolvable_contract():
     for seed in range(5):
         out = generate(InstanceSpec(seed=seed, family="sylvester-unsolvable"))
-        diag = diagnose_ax_yb(out["A"], out["B"], out["C"])
-        assert not diag.solvable
-        assert diag.classical_residual >= 0.5 * np.linalg.norm(out["C"])
+        a, b, c = out["A"], out["B"], out["C"]
+        assert not diagnose_ax_yb(a, b, c).solvable
+        # The injected component is what the particular pair leaves: ||N_A* C N_B||_F.
+        left = projection_quad(a).n_astar @ c @ projection_quad(b).n_a
+        assert np.linalg.norm(left) >= 0.5 * np.linalg.norm(c)
 
 
 def test_orthogonal_pair_contract():

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import opeq
-from opeq import (EmptyMatrix, InvalidMatrix, NotPSD, ToleranceConfig, as_matrix, factor, pinv,
-                  psd_sqrt, svd)
+from opeq import (EmptyMatrix, InvalidMatrix, NotPSD, ToleranceAnomaly, ToleranceConfig, as_matrix, factor,
+                  pinv, psd_sqrt, range_intersection, svd)
 from opeq.harness import random_unitary, ranked_matrix
 from opeq import kernel
 from opeq.kernel import parse_signature, relative, spectral_norm
@@ -384,6 +384,24 @@ def test_spectral_norm_remembers_its_last_operand(svd_calls):
     spectral_norm(a)
     spectral_norm(b)
     assert len(svd_calls) == 3
+
+
+@pytest.mark.parametrize("call, failing", [
+    (lambda a, b: factor(a), (5, 4)),
+    (lambda a, b: spectral_norm(a), (5, 4)),
+    # The principal angles' SVD of N_{A*} U_B, after the factorizations of A and B.
+    (lambda a, b: range_intersection(a, b), (5, 3)),
+], ids=["factor", "spectral_norm", "principal-angles"])
+def test_lapack_nonconvergence_is_a_tolerance_anomaly(monkeypatch, forget, call, failing):
+    real = np.linalg.svd
+
+    def fails_on_shape(m, *args, **kwargs):
+        if m.shape == failing:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(m, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", fails_on_shape)
+    with pytest.raises(ToleranceAnomaly, match=f"^SVD did not converge on a {failing[0]}x{failing[1]} matrix$"):
+        call(*some_operators(2))
 
 
 def test_a_remembered_factorization_is_read_only():

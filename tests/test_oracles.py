@@ -1,10 +1,12 @@
 """Dual-route checks: every solver verdict against a vectorized lstsq oracle.
 
-The oracle flattens each equation to one linear system via Kronecker
-products and asks numpy.linalg.lstsq (a different LAPACK path than the
-package's SVD code) whether a solution exists.  With row-major
-flattening, vec(A X B) = kron(A, B.T) @ vec(X).
+The oracle flattens each equation to one linear system, derived from its
+table formula, and asks numpy.linalg.lstsq (a different LAPACK path than
+the package's SVD code) whether a solution exists.  With column-major
+flattening, vec(L U R) = kron(R.T, L) @ vec(U).
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -12,6 +14,7 @@ from opeq import (
     InstanceSpec,
     diagnose_ax_yb,
     diagnose_congruence,
+    factor,
     generate,
     reduced_solution,
     solve_ax_by_orthogonal,
@@ -20,7 +23,8 @@ from opeq import (
     NotSolvable,
     RangeNotContained,
 )
-from opeq.harness import ranked_matrix, verify
+from opeq.harness import EQUATIONS, ranked_matrix, verify
+from opeq.kernel import parse_signature
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 
@@ -30,22 +34,32 @@ def lstsq_residual(design, rhs):
     return np.linalg.norm(design @ sol - rhs) / scale
 
 
-def sylvester_system(a, b, c):
-    m, p = a.shape
-    q, n = b.shape
-    design = np.hstack([
-        np.kron(a, np.eye(n)),            # A X I
-        np.kron(np.eye(m), b.T),          # I Y B
-    ])
-    return design, c.reshape(-1)
+def linear_system(tag, operators):
+    """Design matrix and right side of the formula of ``EQUATIONS[tag]``, whose right side is C.
 
-
-def congruence_system(a, b, c):
-    design = np.hstack([
-        np.kron(a, a.conj()),             # A X A*
-        np.kron(b, b.conj()),             # B Y B*
-    ])
-    return design, c.reshape(-1)
+    Each left-side term is L U R for one unknown U, so it adds kron(R.T, L) to U's column block;
+    an empty L or R is the identity of U's size.
+    """
+    eq = EQUATIONS[tag]
+    mats = {name: np.asarray(operators[name], dtype=np.complex128) for name in eq.operands}
+    operands, unknowns = parse_signature(eq.signature)
+    sizes = {dim: size for name, *dims in operands for dim, size in zip(dims, mats[name].shape)}
+    shapes = {name: (sizes[rows], sizes[cols]) for name, rows, cols in unknowns}
+    blocks, rhs = {}, None
+    for sign, factors in eq.terms:
+        if sign < 0:
+            (name, _), = factors
+            rhs = mats[name].reshape(-1, order="F")
+            continue
+        names = [name for name, _ in factors]
+        (at, unknown), = ((i, name) for i, name in enumerate(names) if name in shapes)
+        left, right = ([mats[n].conj().T if adjoint else mats[n] for n, adjoint in side]
+                       for side in (factors[:at], factors[at + 1:]))
+        rows, cols = shapes[unknown]
+        lm = reduce(np.matmul, left) if left else np.eye(rows)
+        rm = reduce(np.matmul, right) if right else np.eye(cols)
+        blocks[unknown] = blocks.get(unknown, 0) + np.kron(rm.T, lm)
+    return np.hstack([blocks[name] for name in eq.unknowns]), rhs
 
 
 def test_reduced_solution_matches_lstsq_minimum_norm():
@@ -65,7 +79,7 @@ def test_reduced_solution_refusals_match_lstsq():
         a = ranked_matrix(rng, 5, 4, 1 + rng.next_u64() % 3)
         # Every other C is drawn inside R(A), so both verdicts are exercised.
         c = a @ complex_normal_matrix(rng, 4, 2) if i % 2 else complex_normal_matrix(rng, 5, 2)
-        oracle = lstsq_residual(a, c)
+        oracle = lstsq_residual(*linear_system("douglas", {"A": a, "C": c}))
         try:
             rep = reduced_solution(a, c)
             assert oracle <= 1e-8, f"solver accepted, oracle residual {oracle:.2e}"
@@ -81,12 +95,12 @@ def test_sylvester_verdicts_match_lstsq():
     for seed in range(15):
         out = generate(InstanceSpec(seed=400 + seed, family="sylvester-solvable",
                                     shape=(4, 4, 3, 3, 1)))
-        design, rhs = sylvester_system(out["A"], out["B"], out["C"])
+        design, rhs = linear_system("sylvester", out)
         assert lstsq_residual(design, rhs) <= 1e-8
         assert diagnose_ax_yb(out["A"], out["B"], out["C"]).solvable
         out = generate(InstanceSpec(seed=430 + seed, family="sylvester-unsolvable",
                                     shape=(4, 4, 3, 3, 1)))
-        design, rhs = sylvester_system(out["A"], out["B"], out["C"])
+        design, rhs = linear_system("sylvester", out)
         assert lstsq_residual(design, rhs) > 1e-3
         assert not diagnose_ax_yb(out["A"], out["B"], out["C"]).solvable
 
@@ -100,7 +114,7 @@ def test_sylvester_generic_instances_match_lstsq():
         a = ranked_matrix(rng, m, p, 1 + rng.next_u64() % min(m, p))
         b = ranked_matrix(rng, q, n, 1 + rng.next_u64() % min(q, n))
         c = complex_normal_matrix(rng, m, n)
-        design, rhs = sylvester_system(a, b, c)
+        design, rhs = linear_system("sylvester", {"A": a, "B": b, "C": c})
         oracle_solvable = lstsq_residual(design, rhs) <= 1e-8
         assert diagnose_ax_yb(a, b, c).solvable == oracle_solvable
         if oracle_solvable:
@@ -109,15 +123,37 @@ def test_sylvester_generic_instances_match_lstsq():
             assert cert.residuals["equation"] <= 1e-8
 
 
+def test_sylvester_margin_band_verdict_is_the_certificate():
+    """C = A X + Y B + eps E with eps = 10^(-12 + 6u) straddles residual_rel: the diagnosis is solvable
+    exactly when verify certifies the particular pair, the decision's residual is that certificate's
+    equation residual, and every instance the oracle solves to 1e-10 is solvable."""
+    verdicts = set()
+    for i in range(400):
+        rng = Xoshiro256StarStar(10000 + i)
+        eps = 10.0 ** (-12 + 6 * rng.uniform())
+        a, b = ranked_matrix(rng, 4, 3, 2), ranked_matrix(rng, 3, 4, 2)
+        x, y, e = (complex_normal_matrix(rng, *shape) for shape in ((3, 4), (4, 3), (4, 4)))
+        ops = {"A": a, "B": b, "C": a @ x + y @ b + eps * e}
+        diag = diagnose_ax_yb(a, b, ops["C"])
+        fa, fb = factor(a), factor(b)
+        cert = verify("sylvester", ops, {"X": fa.pinv(fb.right_n_a(ops["C"])), "Y": fb.right_pinv(ops["C"])})
+        assert diag.solvable == cert.passed, i
+        assert diag.cond_range_cnb.residual == cert.residuals["equation"], i
+        if lstsq_residual(*linear_system("sylvester", ops)) <= 1e-10:
+            assert diag.solvable, i
+        verdicts.add(diag.solvable)
+    assert verdicts == {True, False}
+
+
 def test_congruence_verdicts_match_lstsq():
     for seed in range(10):
         out = generate(InstanceSpec(seed=500 + seed, family="congruence-solvable"))
-        design, rhs = congruence_system(out["A"], out["B"], out["C"])
+        design, rhs = linear_system("congruence", out)
         assert lstsq_residual(design, rhs) <= 1e-8
         x, y, diag = solve_congruence(out["A"], out["B"], out["C"])
         assert verify("congruence", out, {"X": x, "Y": y}).residuals["equation"] <= 1e-8
         out = generate(InstanceSpec(seed=530 + seed, family="congruence-criterion-violating"))
-        design, rhs = congruence_system(out["A"], out["B"], out["C"])
+        design, rhs = linear_system("congruence", out)
         assert lstsq_residual(design, rhs) > 1e-3
         try:
             solve_congruence(out["A"], out["B"], out["C"])
@@ -146,7 +182,7 @@ def test_congruence_generic_instances_match_lstsq():
             n_astar = np.eye(m) - a @ np.linalg.pinv(a)
             n_bstar = np.eye(m) - b @ np.linalg.pinv(b)
             c = c - n_astar @ c @ n_bstar
-        design, rhs = congruence_system(a, b, c)
+        design, rhs = linear_system("congruence", {"A": a, "B": b, "C": c})
         oracle_solvable = lstsq_residual(design, rhs) <= 1e-8
         status = diagnose_congruence(a, b, c).status
         assert oracle_solvable == (kind == 0), i
@@ -180,7 +216,7 @@ def test_orthogonal_verdicts_match_lstsq():
         b = ranked_matrix(rng, 6, q, 1 + rng.next_u64() % q)
         design = np.hstack([a, b])
         c = design @ complex_normal_matrix(rng, p + q, 3) if i % 2 else complex_normal_matrix(rng, 6, 3)
-        oracle_solvable = lstsq_residual(design, c) <= 1e-8
+        oracle_solvable = lstsq_residual(*linear_system("orthogonal", {"A": a, "B": b, "C": c})) <= 1e-8
         try:
             x, y, _ = solve_ax_by_orthogonal(a, b, c)
         except RangeNotContained:

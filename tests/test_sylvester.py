@@ -7,6 +7,7 @@ from opeq import (
     DimensionMismatch,
     NotASolution,
     NotSolvable,
+    ToleranceAnomaly,
     completeness_witness,
     diagnose_ax_yb,
     diagnose_congruence,
@@ -24,40 +25,55 @@ A2 = np.diag([1.0, 0.0])
 B2 = np.diag([0.0, 1.0])
 
 
+def classical(a, b, c):
+    """||N_{A*} C N_B||_F from dense projections: what the particular pair leaves of C."""
+    return np.linalg.norm(projection_quad(a).n_astar @ c @ projection_quad(b).n_a)
+
+
 def test_diagnose_worked_solvable():
     diag = diagnose_ax_yb(A2, B2, np.eye(2))
     assert diag.solvable
-    # N_{A*} C N_B = diag(0,1) diag(1,0) = 0
-    assert diag.classical_residual <= 1e-14
+    # N_{A*} C N_B = diag(0,1) diag(1,0) = 0, and so is the particular pair's residual.
+    assert diag.cond_range_cnb.residual <= 1e-14
 
 
 def test_diagnose_worked_unsolvable():
     diag = diagnose_ax_yb(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     assert not diag.solvable
-    assert diag.classical_residual == pytest.approx(1.0, abs=1e-14)
+    # The particular pair is (0, 0), so its backward error is ||C|| / ||C||.
+    assert diag.cond_range_cnb.residual == pytest.approx(1.0, abs=1e-14)
+
+
+def test_a_nan_backward_error_raises_rather_than_deciding():
+    # The particular pair is (0, 0), and ||C||_F overflows in its squares: the backward error is inf / inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ToleranceAnomaly, match="no finite residual"):
+            diagnose_ax_yb(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1e200]))
 
 
 def test_small_c_nb_is_decided_against_c_and_its_answer_certified():
-    """||N_A* C N_B|| is measured against ||C||, the magnitude C N_B came from, not against
-    ||C N_B||: at about 4e-9 it is below residual_rel, so the instance is solvable and verify
-    certifies its particular pair.  Neither operand is near a rank cutoff."""
+    """The residual N_A* C N_B of the particular pair is measured against a scale that includes
+    ||C||, the magnitude C N_B came from, not against ||C N_B||: ||N_A* C N_B|| / ||C|| is about
+    4e-9, below residual_rel, so the instance is solvable, and the decision's residual is the
+    backward error verify certifies, bit for bit.  Neither operand is near a rank cutoff."""
     rng = Xoshiro256StarStar(6)
     a, b = ranked_matrix(rng, 4, 3, 2), ranked_matrix(rng, 3, 4, 2)
     x, y, e = (complex_normal_matrix(rng, *shape) for shape in ((3, 4), (4, 3), (4, 4)))
     c = a @ x + y @ b + 1e-9 * e
     diag = diagnose_ax_yb(a, b, c)
     assert diag.solvable
-    assert 1e-9 < diag.cond_range_cnb.residual < 1e-8
-    assert diag.cond_range_cnb.residual == pytest.approx(diag.classical_residual / np.linalg.norm(c), rel=1e-12)
+    assert 1e-9 < classical(a, b, c) / np.linalg.norm(c) < 1e-8
+    assert 1e-10 < diag.cond_range_cnb.residual <= classical(a, b, c) / np.linalg.norm(c)
     sol = solve_ax_yb(a, b, c)
     cert = verify("sylvester", {"A": a, "B": b, "C": c}, {"X": sol.x, "Y": sol.y})
-    assert cert.passed and 1e-10 < cert.residuals["equation"] < 1e-8
+    assert cert.passed and cert.residuals["equation"] == diag.cond_range_cnb.residual
 
 
 def test_a_solvable_diagnosis_licenses_a_certified_answer():
     """C = A X + Y B + eps E with eps log-uniform in [1e-12, 1e-6]: whenever the diagnosis says
-    solvable, verify certifies the particular pair, and the range residual is the classical
-    residual ||N_A* C N_B||_F, recomputed from dense projections, over ||C||_F."""
+    solvable, verify certifies the particular pair with the decision's residual as its equation
+    residual, bit for bit, and otherwise solve refuses; every instance whose ||N_A* C N_B||_F, from
+    dense projections, is at most 1e-10 ||C||_F is solvable."""
     verdicts = set()
     for seed in range(50):
         rng = Xoshiro256StarStar(seed)
@@ -65,14 +81,16 @@ def test_a_solvable_diagnosis_licenses_a_certified_answer():
         x, y, e = (complex_normal_matrix(rng, *shape) for shape in ((3, 4), (4, 3), (4, 4)))
         c = a @ x + y @ b + 10.0 ** (-12 + 6 * rng.uniform()) * e
         diag = diagnose_ax_yb(a, b, c)
-        classical = np.linalg.norm(projection_quad(a).n_astar @ c @ projection_quad(b).n_a)
-        assert diag.classical_residual == pytest.approx(classical, rel=1e-6, abs=1e-15)
-        assert diag.cond_range_cnb.residual == pytest.approx(diag.classical_residual / np.linalg.norm(c),
-                                                             rel=1e-12)
         verdicts.add(diag.solvable)
+        if classical(a, b, c) <= 1e-10 * np.linalg.norm(c):
+            assert diag.solvable, seed
         if diag.solvable:
             sol = solve_ax_yb(a, b, c)
-            assert verify("sylvester", {"A": a, "B": b, "C": c}, {"X": sol.x, "Y": sol.y}).passed, seed
+            cert = verify("sylvester", {"A": a, "B": b, "C": c}, {"X": sol.x, "Y": sol.y})
+            assert cert.passed and cert.residuals["equation"] == diag.cond_range_cnb.residual, seed
+        else:
+            with pytest.raises(NotSolvable):
+                solve_ax_yb(a, b, c)
     assert verdicts == {True, False}
 
 

@@ -18,8 +18,7 @@ from .exceptions import (
     IntersectionNotInRangeC,
     NotSolvable,
 )
-from .kernel import (DEFAULT_TOL, Factorization, ToleranceConfig, _lapack_svd, dagger, factor, fro, relative,
-                     shaped)
+from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, lapack, relative, shaped
 from .projections import RangeDecision, inclusion
 
 __all__ = [
@@ -204,12 +203,12 @@ def _kernel_projection(a, b, tol):
     """
     p, q = a.shape[1], b.shape[1]
     fa, fb = factor(a, tol), factor(b, tol)
-    sines, vh = _lapack_svd(fa.n_astar(fb.u), full_matrices=False)[1:]
+    sines, vh = lapack("svd", fa.n_astar(fb.u), full_matrices=False)[1:]
     basis = fb.u @ dagger(vh[sines <= tol.residual_rel])
     dim, ones = basis.shape[1], np.ones(basis.shape[1])
     span = Factorization(a=basis, u=basis, s=ones, v=np.eye(dim, dtype=np.complex128), singular_values=ones,
                          rank=dim, norm=1.0 if dim else 0.0)
-    w = np.linalg.qr(np.vstack([fa.pinv(basis), fb.pinv(basis)]))[0]
+    w = lapack("qr", np.vstack([fa.pinv(basis), fb.pinv(basis)]))[0]
     w1, w2 = w[:p], w[p:]
     x = fa.adjoint().n_astar(np.eye(p, dtype=np.complex128)) + w1 @ dagger(w1)
     y = fb.adjoint().n_astar(np.eye(q, dtype=np.complex128)) + w2 @ dagger(w2)

@@ -23,7 +23,6 @@ __all__ = [
     "reduced_solution",
     "douglas_factor",
     "majorization_certificate",
-    "majorization_gap",
     "solve_scaled_equality",
     "polar_range_check",
 ]
@@ -66,43 +65,30 @@ def _reduced_solution(fa: Factorization, c, tol) -> ReducedSolutionReport:
 
 
 def douglas_factor(a, c, tol: ToleranceConfig = DEFAULT_TOL):
-    """Least lambda with C C* <= lambda A A*, or None when A X = C is unsolvable.
-
-    The factor is the reduced solution's ``lambda_factor``; its
-    :func:`majorization_certificate` is checked before returning (else
-    :class:`ToleranceAnomaly`).
-    """
-    a, c = shaped(SIGNATURE, a, c)
-    fa = factor(a, tol)
+    """Least lambda with C C* <= lambda A A*, the reduced solution's ``lambda_factor``, or None when A X = C
+    is unsolvable."""
     try:
-        d = _reduced_solution(fa, c, tol).d
+        return reduced_solution(a, c, tol).lambda_factor
     except RangeNotContained:
         return None
-    residuals, failed = majorization_certificate(a, c, d, fa.norm, tol)
-    if failed["majorization_gap"]:
-        raise ToleranceAnomaly(f"majorization certificate failed: relative min eigenvalue "
-                               f"{residuals['majorization_gap']:.3e} at lambda={residuals['lambda']:.6e}")
-    return residuals["lambda"]
 
 
-def majorization_certificate(t, c, x, t_norm: float, tol: ToleranceConfig = DEFAULT_TOL):
-    """``lambda`` = ||X||_2^2 and the gap certifying C C* <= lambda T T* of T X = C, ``t_norm`` = ||T||_2."""
+def majorization_certificate(ft: Factorization, c, x, tol: ToleranceConfig = DEFAULT_TOL):
+    """``lambda`` = ||X||_2^2, which fails unless finite, and the ``range`` residual of R(C) in R(T) through
+    ``ft``, T's factorization, which fails where the solver's decision refuses, for an answer X of T X = C.
+
+    T X = C gives C C* = T X X* T* <= ||X||_2^2 T T*, which holds in every Hilbert C*-module.  The
+    equation's backward error shows that C is T X up to tolerance, and the range residual covers what it
+    misses when ||T|| ||X|| >> ||C||, a part of C outside R(T); so no eigendecomposition is needed.
+    """
     norm_x = spectral_norm(x)  # squares as products: past the double range they give inf, ** 2 raises
     lam = norm_x * norm_x
-    gap = majorization_gap(lam, t @ dagger(t), c, t_norm * t_norm, tol)
-    return {"lambda": lam, "majorization_gap": gap}, {"majorization_gap": not gap >= -tol.residual_rel}
-
-
-def majorization_gap(lam: float, gram, c, gram_norm: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Negative part of min-eig(lam (1 + s) G - C C*) over ``gram_norm`` = ||G||_2, s = ``residual_rel``.
-
-    Zero certifies C C* <= lam (1 + s) G; the certificates accept down to -s.  An overflowed
-    combination gives NaN, which they fail (eigvalsh returns finite values for inf or NaN).
-    """
-    combo = lam * (1.0 + tol.residual_rel) * gram - c @ dagger(c)
-    if not np.abs(combo).max(initial=0.0) < np.inf:
-        return float("nan")
-    return relative(float(np.linalg.eigvalsh(combo).min(initial=0.0)), gram_norm)
+    try:
+        decision = inclusion(c, ft, tol)
+    except ToleranceAnomaly:  # a residual that is not finite, on which the solver refuses: fail closed
+        decision = RangeDecision(holds=False, residual=math.nan)
+    residuals = {"lambda": lam, "range": decision.residual}
+    return residuals, {"lambda": not lam < math.inf, "range": not decision.holds}
 
 
 def solve_scaled_equality(a, c, lambda_in: float,

@@ -16,7 +16,7 @@ import numpy as np
 from . import congruence, douglas, sylvester
 from .douglas import majorization_certificate
 from .exceptions import InfeasibleSpec, MissingMatrix, NotASolution, ToleranceAnomaly, UnknownEquationTag
-from .kernel import (DEFAULT_TOL, ToleranceConfig, backward_error, dagger, factor, fro, parse_formula,
+from .kernel import (DEFAULT_TOL, ToleranceConfig, backward_error, dagger, factor, fro, lapack, parse_formula,
                      parse_signature, relative, shaped, spectral_norm)
 from .projections import RangeDecision
 from .rng import Xoshiro256StarStar, complex_normal_matrix
@@ -61,7 +61,7 @@ class InstanceSpec:
 
 def random_unitary(rng: Xoshiro256StarStar, n: int) -> np.ndarray:
     """Haar-like unitary from the QR of a complex Gaussian, phases fixed."""
-    q, r = np.linalg.qr(complex_normal_matrix(rng, n, n))
+    q, r = lapack("qr", complex_normal_matrix(rng, n, n))
     d = np.diagonal(r).copy()
     d[np.abs(d) == 0.0] = 1.0
     return q * (d.conj() / np.abs(d))
@@ -281,7 +281,7 @@ def verify(equation: str, operators: dict, solution: dict,
 
 def _verify_douglas(a, c, x, tol):
     fa = factor(a, tol)
-    residuals, failed = majorization_certificate(a, c, x, fa.norm, tol)
+    residuals, failed = majorization_certificate(fa, c, x, tol)
     residuals["reducedness"] = relative(fro(fa.adjoint().n_astar(x)), fro(x))
     failed["reducedness"] = not residuals["reducedness"] <= tol.rank_rel
     return residuals, failed
@@ -289,13 +289,12 @@ def _verify_douglas(a, c, x, tol):
 
 def _verify_orthogonal(a, b, c, x, y, tol):
     # A X + B Y = C is T [X; Y] = C for T = [A B], and T T* = A A* + B B*.
-    t = np.hstack([a, b])
-    return majorization_certificate(t, c, np.vstack([x, y]), factor(t, tol).norm, tol)
+    return majorization_certificate(factor(np.hstack([a, b]), tol), c, np.vstack([x, y]), tol)
 
 
 def _verify_congruence_cz(a, b, c, x, y, z, tol):
     residuals, failed = {}, {}
-    spectra = {name: np.linalg.eigvalsh((m + dagger(m)) / 2.0) for name, m in (("x", x), ("y", y))}
+    spectra = {name: lapack("eigvalsh", (m + dagger(m)) / 2.0) for name, m in (("x", x), ("y", y))}
     # ||Herm(X)||_2 is ||X||_2 within the Hermitian defect, which x_psd bounds.
     norms = {name: float(np.abs(w).max(initial=0.0)) for name, w in spectra.items()}
     norms["z"] = spectral_norm(z)

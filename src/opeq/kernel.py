@@ -6,7 +6,8 @@ Operators are plain 2-D ``numpy`` arrays with complex128 entries.  Every rank de
 :func:`relative`, which range decisions compare with ``residual_rel``.  Input from outside the package
 is coerced and scanned once, by :func:`shaped` or a public primitive such as :func:`factor`;
 :func:`dagger`, :func:`fro` and :func:`spectral_norm` take arrays as given.  Every equation residual,
-a certificate's or a verdict's, is :func:`backward_error`.  An SVD that does not converge raises
+a certificate's or a verdict's, is :func:`backward_error`.  Every LAPACK call (SVD, Hermitian
+eigenvalues, QR) goes through :func:`lapack`, so a factorization that does not converge raises
 ToleranceAnomaly.
 :func:`factor` and :func:`spectral_norm` each remember their last result, so a certificate computed
 right after its solver reruns no SVD the solver already ran.  A remembered result is the one a fresh
@@ -42,6 +43,7 @@ __all__ = [
     "backward_error",
     "spectral_norm",
     "dagger",
+    "lapack",
 ]
 
 
@@ -54,8 +56,7 @@ class ToleranceConfig:
     that are zero in exact arithmetic pass up to it, relative.
 
     ``residual_rel``: relative Frobenius residual below which an equation,
-    a range inclusion or a completeness witness is accepted, and a
-    majorization certificate's slack.
+    a range inclusion or a completeness witness is accepted.
     """
 
     rank_rel: float = 1e-10
@@ -167,10 +168,11 @@ def backward_error(terms: tuple, mats: dict) -> float:
     return relative(fro(total), scale)
 
 
-def _lapack_svd(m: np.ndarray, **kwargs):
-    """``np.linalg.svd(m, **kwargs)``, with LAPACK's failure to converge raised as :class:`ToleranceAnomaly`."""
+def lapack(name: str, m: np.ndarray, **kwargs):
+    """``np.linalg.<name>(m, **kwargs)``, looked up at call time so that a counter installed there sees it,
+    with LAPACK's failure to converge raised as :class:`ToleranceAnomaly`; the package's only LAPACK call."""
     try:
-        return np.linalg.svd(m, **kwargs)
+        return getattr(np.linalg, name)(m, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise ToleranceAnomaly(f"{exc} on a {m.shape[0]}x{m.shape[1]} matrix") from exc
 
@@ -203,7 +205,7 @@ def spectral_norm(m: np.ndarray) -> float:
     measured = _last_norm
     if measured is not None and np.array_equal(measured[0], m):
         return measured[1]
-    norm = float(_lapack_svd(m, compute_uv=False)[0])
+    norm = float(lapack("svd", m, compute_uv=False)[0])
     _last_norm = (_read_only(m.copy()), norm)
     return norm
 
@@ -258,11 +260,20 @@ class Factorization:
 
     def pinv(self, c) -> np.ndarray:
         """A+ c = v diag(1/s) (u* c)."""
-        return self.v @ ((self.u.conj().T @ c) / self.s[:, None])
+        return self.v @ _divide(self.u.conj().T @ c, self.s[:, None])
 
     def right_pinv(self, c) -> np.ndarray:
         """c A+ = ((c v) diag(1/s)) u*."""
-        return ((c @ self.v) / self.s) @ self.u.conj().T
+        return _divide(c @ self.v, self.s) @ self.u.conj().T
+
+
+def _divide(m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Complex ``m`` over the broadcast real ``s``, part by part: numpy's complex / real multiplies by 1 / s,
+    which overflows for a subnormal s."""
+    out = np.empty_like(m)
+    np.divide(m.real, s, out=out.real)
+    np.divide(m.imag, s, out=out.imag)
+    return out
 
 
 def factor(a, tol: ToleranceConfig = DEFAULT_TOL, anchor: float | None = None) -> Factorization:
@@ -289,7 +300,7 @@ def factor(a, tol: ToleranceConfig = DEFAULT_TOL, anchor: float | None = None) -
         u, sv, vh = (np.zeros((rows, 0), dtype=np.complex128), np.zeros(min(rows, cols)),
                      np.zeros((0, cols), dtype=np.complex128))
     else:
-        u, sv, vh = _lapack_svd(a, full_matrices=False)
+        u, sv, vh = lapack("svd", a, full_matrices=False)
     u, sv = _read_only(u), _read_only(sv)
     norm = float(sv[0]) if sv.size else 0.0
     r = int(np.count_nonzero(sv > rank_cutoff(norm if anchor is None else anchor, a.shape, tol)))

@@ -33,12 +33,15 @@ their ``s1`` words read out lane by lane are the stream in order.  The part
 shorter than one lane, and every draw of fewer than ``_MIN_LANES`` lanes,
 runs the scalar loop, which leaves the state where the scalar methods
 would.  The scrambler and Box-Muller's exact operations then run on arrays,
-and ``log``/``cos``/``sin`` still go through ``math`` (libm), so every entry
-matches the scalar methods bit for bit.
+``log`` still goes through ``math`` (libm), and each entry is
+``cmath.rect(r, theta)``, which forms ``r cos theta`` and ``r sin theta``
+with the same libm ``cos`` and ``sin`` in one pass, so every entry matches
+the scalar methods bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from array import array
@@ -234,7 +237,6 @@ def complex_normal_matrix(rng: Xoshiro256StarStar, rows: int, cols: int) -> np.n
         u = _uniforms(words[2 * start:2 * stop])
         r = np.sqrt(-2.0 * _libm(math.log, 1.0 - u[0::2]))
         theta = (2.0 * math.pi) * u[1::2]
-        block = out[start:stop]
-        block.real = r * _libm(math.cos, theta)
-        block.imag = r * _libm(math.sin, theta)
+        out[start:stop] = np.fromiter(map(cmath.rect, r.tolist(), theta.tolist()), dtype=np.complex128,
+                                      count=stop - start)
     return out.reshape(rows, cols)

@@ -17,7 +17,6 @@ from opeq import (
     solve_ax_by_orthogonal,
     solve_scaled_equality,
 )
-from opeq import douglas
 from opeq.harness import ranked_matrix, random_unitary, verify
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
@@ -44,12 +43,13 @@ def test_reduced_solution_range_not_contained():
     assert err.value.decision.residual == pytest.approx(1.0)
 
 
-def test_subnormal_coefficient_raises_an_opeq_error():
-    # Its kept singular value 2e-317 inverts past the double range, so D is NaN, and LAPACK's
-    # failure to converge on it is a ToleranceAnomaly, not numpy's LinAlgError.
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ToleranceAnomaly, match="did not converge"):
-            reduced_solution(np.full((2, 2), 1e-317), np.zeros((2, 2)))
+def test_subnormal_coefficient_is_certified():
+    # 1 / 2e-317, the kept singular value's reciprocal, is past the double range, so the reduced
+    # solution divides by it part by part and never forms it: D = 0, certified.
+    a, c = np.full((2, 2), 1e-317), np.zeros((2, 2))
+    rep = reduced_solution(a, c)
+    assert not rep.d.any() and rep.lambda_factor == 0.0
+    assert verify("douglas", {"A": a, "C": c}, {"X": rep.d}).passed
 
 
 @pytest.mark.parametrize("solve", [lambda c: reduced_solution([[1e-300]], c),
@@ -61,12 +61,12 @@ def test_a_reduced_solution_that_overflows_raises(solve):
 
 
 def test_a_finite_norm_whose_square_overflows_keeps_lambda_inf():
-    # ||D||_2 = 1e200, so lambda = inf, which verify's majorization gap fails.
+    # ||D||_2 = 1e200, so lambda = inf, which verify fails.
     ops = {"A": [[1e-100]], "C": [[1e100]]}
     rep = reduced_solution(ops["A"], ops["C"])
     assert rep.lambda_factor == np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        assert verify("douglas", ops, {"X": rep.d}).failures == ("majorization_gap",)
+        assert verify("douglas", ops, {"X": rep.d}).failures == ("lambda",)
 
 
 def test_reduced_solution_dimension_mismatch():
@@ -122,12 +122,13 @@ def test_douglas_factor_none_when_unsolvable():
     assert douglas_factor(np.diag([1.0, 0.0]), np.array([[0.0, 0.0], [1.0, 0.0]])) is None
 
 
-def test_douglas_factor_raises_when_its_certificate_fails(monkeypatch):
-    def failing(t, c, x, t_norm, tol):
-        return {"lambda": 1.0, "majorization_gap": -1.0}, {"majorization_gap": True}
-    monkeypatch.setattr(douglas, "majorization_certificate", failing)
-    with pytest.raises(ToleranceAnomaly, match=r"min eigenvalue -1\.000e\+00 at lambda=1\.000000e\+00"):
-        douglas_factor(np.eye(2), np.eye(2))
+def test_douglas_factor_is_the_solvers_lambda_factor():
+    rng = Xoshiro256StarStar(47)
+    a = ranked_matrix(rng, 5, 4, 2)
+    c = a @ complex_normal_matrix(rng, 4, 3)
+    assert douglas_factor(a, c) == reduced_solution(a, c).lambda_factor
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ToleranceAnomaly, match="overflowed"):
+        douglas_factor([[1e-300]], [[1e300]])
 
 
 def test_solve_scaled_equality_identity():

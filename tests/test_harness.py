@@ -12,6 +12,7 @@ from opeq import (
     MissingMatrix,
     NotASolution,
     OpeqError,
+    RangeNotContained,
     ToleranceConfig,
     UnknownEquationTag,
     completeness_witness,
@@ -24,7 +25,6 @@ from opeq import (
     solve_ax_by_orthogonal,
     verify,
 )
-from opeq.douglas import majorization_gap
 from opeq.harness import EQUATIONS, Equation, ranked_matrix, random_unitary
 from opeq.kernel import parse_signature
 from opeq.rng import Xoshiro256StarStar, _splitmix64_fill, complex_normal_matrix
@@ -242,11 +242,31 @@ def test_verify_fails_closed_on_nan_residual():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_verify_fails_closed_on_overflowed_majorization():
-    # lam A A* - C C* is inf - inf, on which eigvalsh returns finite values
-    eye = np.eye(2)
-    cert = verify("douglas", {"A": 1e300 * eye, "C": 1e300 * eye}, {"X": 0.5 * eye})
-    assert np.isnan(cert.residuals["majorization_gap"])
-    assert "majorization_gap" in cert.failures
+    # [X; Y] solves the equation exactly, but the square of its norm 1.4e200, the majorization factor,
+    # overflows (as does ||X||_F^2 inside the backward error's scale, over an exactly zero residual)
+    ops = {"A": [[1e-100]], "B": [[1e-100]], "C": [[2e100]]}
+    cert = verify("orthogonal", ops, {"X": [[1e200]], "Y": [[1e200]]})
+    assert cert.residuals["lambda"] == np.inf and cert.residuals["equation"] == 0.0
+    assert cert.failures == ("lambda",)
+    # ||C||_F overflows under a part of C outside R(A): the range residual is NaN, on which the
+    # solver raises, and the certificate fails rather than raising
+    ops = {"A": np.diag([1.0, 0.0]), "C": 1e200 * np.eye(2)}
+    cert = verify("douglas", ops, {"X": np.diag([1e200, 0.0])})
+    assert np.isnan(cert.residuals["range"])
+    assert cert.failures == ("equation", "lambda", "range")
+
+
+def test_range_residual_catches_what_the_backward_error_misses():
+    # T = [A B] has rank 1 and C a part 1e-6 outside R(T).  ||T|| ||[X; Y]|| = 1e4 hides that part
+    # in the backward error (1e-10), as a lambda as large hides it in C C* <= lambda T T*; the range
+    # residual, the solver's own decision, reads 1e-6 and fails, as the solver refuses.
+    ops = {"A": np.diag([1.0, 0.0]), "B": np.diag([1.0, 0.0]), "C": np.diag([1.0, 1e-6])}
+    cert = verify("orthogonal", ops, {"X": np.diag([1.0, 1e4]), "Y": np.zeros((2, 2))})
+    assert cert.residuals["equation"] < 1e-9
+    assert cert.residuals["range"] == pytest.approx(1e-6, rel=1e-9)
+    assert cert.failures == ("range",)
+    with pytest.raises(RangeNotContained):
+        solve_ax_by_orthogonal(ops["A"], ops["B"], ops["C"])
 
 
 def test_verify_congruence_cz_with_empty_unknowns_fails():
@@ -386,9 +406,9 @@ def test_non_finite_unknown_is_rejected_by_verify(tag, name):
 # Every residual key of each equation's certificate: the defining equation and
 # the answer's own properties, none of the instance's criteria or hypotheses.
 RESIDUAL_KEYS = {
-    "douglas": {"equation", "reducedness", "lambda", "majorization_gap"},
+    "douglas": {"equation", "reducedness", "lambda", "range"},
     "sylvester": {"equation"},
-    "orthogonal": {"equation", "lambda", "majorization_gap"},
+    "orthogonal": {"equation", "lambda", "range"},
     "congruence": {"equation"},
     "congruence-cz": {"equation", "x_psd_gap", "x_hermitian_defect", "y_psd_gap",
                       "y_hermitian_defect", "x_norm", "y_norm", "z_norm"},
@@ -430,16 +450,15 @@ def test_known_solution_checks_take_verify_verdict():
 
 
 def test_majorization_slack_is_residual_rel():
-    # lambda = ||X||^2 = (1 - 1e-6)^2 falls 2e-6 short of the least factor 1, and the backward
-    # error is 4.1e-7: both within a residual_rel of 1e-4, both beyond the default 1e-8.
-    ops = {"A": np.eye(2), "C": np.diag([1.0, 0.5])}
-    sol = {"X": (1.0 - 1e-6) * ops["C"]}
+    # C has a part 1e-6 outside R(A): the range residual is 1e-6 and the backward error of the
+    # reduced solution 5e-7, both within a residual_rel of 1e-4, both beyond the default 1e-8.
+    ops = {"A": np.diag([1.0, 0.0]), "C": np.diag([1.0, 1e-6])}
+    sol = {"X": np.diag([1.0, 0.0])}
     loose = ToleranceConfig(residual_rel=1e-4)
-    assert verify("douglas", ops, sol, loose).passed
-    assert verify("douglas", ops, sol).failures == ("equation", "majorization_gap")
-    lam = (1.0 - 1e-6) ** 2
-    assert majorization_gap(lam, ops["A"], ops["C"], 1.0, loose) == 0.0
-    assert majorization_gap(lam, ops["A"], ops["C"], 1.0) == pytest.approx(-2e-6, rel=1e-2)
+    cert = verify("douglas", ops, sol, loose)
+    assert cert.passed and cert.residuals["range"] == pytest.approx(1e-6, rel=1e-9)
+    assert cert.residuals["equation"] == pytest.approx(5e-7, rel=1e-9)
+    assert verify("douglas", ops, sol).failures == ("equation", "range")
 
 
 def test_completeness_witness_reads_residual_rel():

@@ -124,6 +124,13 @@ def test_pinv_scalar():
     np.testing.assert_allclose(pinv(np.array([[2.0]])), [[0.5]], atol=1e-15)
 
 
+def test_pinv_divides_by_a_subnormal_singular_value():
+    # 1 / 2e-310 is past the double range, so A+ c is formed without the reciprocal, from either side.
+    f = factor(np.array([[2e-310]]))
+    c = np.array([[4e-310 - 2e-310j]])
+    assert f.pinv(c) == f.right_pinv(c) == [[2.0 - 1.0j]]
+
+
 def test_pinv_projector_all_penrose_identities():
     m = np.array([[1.0, 0.0], [0.0, 0.0]])
     x = pinv(m)
@@ -402,6 +409,21 @@ def test_lapack_nonconvergence_is_a_tolerance_anomaly(monkeypatch, forget, call,
     monkeypatch.setattr(np.linalg, "svd", fails_on_shape)
     with pytest.raises(ToleranceAnomaly, match=f"^SVD did not converge on a {failing[0]}x{failing[1]} matrix$"):
         call(*some_operators(2))
+
+
+def test_lapack_failing_on_a_nan_matrix_is_a_tolerance_anomaly(forget):
+    # Not a stand-in: LAPACK itself does not converge on NaN entries.
+    with pytest.raises(ToleranceAnomaly, match="^SVD did not converge on a 2x2 matrix$"):
+        spectral_norm(np.full((2, 2), np.nan, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("name", ["eigvalsh", "qr"])
+def test_every_lapack_failure_is_a_tolerance_anomaly(monkeypatch, name):
+    def fails(m, *args, **kwargs):
+        raise np.linalg.LinAlgError(f"{name} did not converge")
+    monkeypatch.setattr(np.linalg, name, fails)
+    with pytest.raises(ToleranceAnomaly, match=f"^{name} did not converge on a 3x3 matrix$"):
+        kernel.lapack(name, np.eye(3))
 
 
 def test_a_remembered_factorization_is_read_only():

@@ -4,8 +4,9 @@ Each transformation maps an instance to one that is solvable exactly when
 the original is: a unitary change of basis, the adjoint symmetry of the
 Sylvester and congruence equations, zero padding, the module lift
 M -> M (x) I_3, a unitary mixing of the columns of [A B] in
-A X + B Y = C, and scalings of the C Z operands.  The loops run seeds 0-5 of the generated families of both
-verdicts.
+A X + B Y = C, scalings of C in A X = C and A X + B Y = C, and scalings
+of the C Z operands.  The loops run seeds 0-5 of the generated families of
+both verdicts.
 """
 
 import numpy as np
@@ -13,8 +14,8 @@ import pytest
 
 from opeq import (DEFAULT_TOL, OpeqError, RangeNotContained, diagnose_ax_yb, diagnose_congruence,
                   solve_ax_by_orthogonal)
-from opeq.harness import EQUATIONS, InstanceSpec, generate, random_unitary, verify
-from opeq.rng import Xoshiro256StarStar
+from opeq.harness import EQUATIONS, InstanceSpec, generate, random_unitary, ranked_matrix, verify
+from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
 SEEDS = range(6)
 PAD = ((0, 2), (0, 1))
@@ -133,6 +134,30 @@ def test_orthogonal_verdict_survives_mixing_the_coefficients():
             assert verify("orthogonal", {"A": a, "B": b, "C": c}, {"X": x, "Y": y}).passed, seed
             with pytest.raises(RangeNotContained):
                 solve_ax_by_orthogonal(a, b, outside)
+
+
+def douglas_instances():
+    """(tag, operators) of T X = C for T = A and for T = [A B], the last with A = B of rank 1, so that
+    T has neither full row nor full column rank."""
+    for seed in SEEDS:
+        ops = generate(InstanceSpec(seed=seed, family="scaled-equality-pair"))
+        yield "douglas", {"A": ops["A"], "C": ops["C"]}
+        ops = generate(InstanceSpec(seed=seed, family="orthogonal-pair"))
+        yield "orthogonal", {name: ops[name] for name in ("A", "B", "C")}
+        rng = Xoshiro256StarStar(4000 + seed)
+        a = ranked_matrix(rng, 5, 2, 1)
+        yield "orthogonal", {"A": a, "B": a, "C": np.hstack([a, a]) @ complex_normal_matrix(rng, 4, 3)}
+
+
+@pytest.mark.parametrize("k", [-40, -20, 20, 40])
+def test_douglas_answers_are_certified_with_c_scaled(k):
+    """T X = C has the answer 2^k X at 2^k C, an exact scaling, and lambda scales by 4^k while T T* stays:
+    the reduced solution of the scaled instance is certified."""
+    for tag, ops in douglas_instances():
+        ops = {**ops, "C": 2.0 ** k * ops["C"]}
+        sol = EQUATIONS[tag].solve(ops, DEFAULT_TOL, None)[0]
+        cert = verify(tag, ops, sol)
+        assert cert.passed, (tag, ops["A"].shape, cert.failures)
 
 
 # (scale of A and B, scale of C): (X, Y, Z) solves A X A* + B Y B* = C Z exactly when

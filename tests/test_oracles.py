@@ -9,8 +9,10 @@ flattening, vec(L U R) = kron(R.T, L) @ vec(U).
 from functools import reduce
 
 import numpy as np
+import pytest
 
 from opeq import (
+    DEFAULT_TOL,
     InstanceSpec,
     diagnose_ax_yb,
     diagnose_congruence,
@@ -142,6 +144,42 @@ def test_sylvester_margin_band_verdict_is_the_certificate():
         if lstsq_residual(*linear_system("sylvester", ops)) <= 1e-10:
             assert diag.solvable, i
         verdicts.add(diag.solvable)
+    assert verdicts == {True, False}
+
+
+def douglas_band_instance(tag, i):
+    """C = T N + eps E with eps = 10^(-12 + 6u), for T = A of rank 2 (4x3) or T = [A B] with A and B
+    each of rank 1 (4x2); returns the operators and T."""
+    rng = Xoshiro256StarStar(10000 + i)
+    eps = 10.0 ** (-12 + 6 * rng.uniform())
+    if tag == "douglas":
+        ops = {"A": ranked_matrix(rng, 4, 3, 2)}
+    else:
+        ops = {"A": ranked_matrix(rng, 4, 2, 1), "B": ranked_matrix(rng, 4, 2, 1)}
+    t = np.hstack([ops[name] for name in ("A", "B") if name in ops])
+    ops["C"] = t @ complex_normal_matrix(rng, t.shape[1], 3) + eps * complex_normal_matrix(rng, 4, 3)
+    return ops, t
+
+
+@pytest.mark.parametrize("tag", ["douglas", "orthogonal"])
+def test_douglas_margin_band_verdict_is_the_certificate(tag):
+    """In the same band, T X = C (A X = C or A X + B Y = C) is solved exactly when verify certifies the
+    reduced solution T+ C, from the package's own factorization: no accepted answer fails its certificate,
+    no refused instance's reduced solution passes it, and a refusal's residual is the certificate's range."""
+    verdicts = set()
+    for i in range(400):
+        ops, t = douglas_band_instance(tag, i)
+        try:
+            sol, accepted = EQUATIONS[tag].solve(ops, DEFAULT_TOL, None)[0], True
+        except RangeNotContained as exc:
+            d, accepted = factor(t).pinv(ops["C"]), False
+            sol = {"X": d} if tag == "douglas" else {"X": d[:2], "Y": d[2:]}
+            refusal = exc.decision.residual
+        cert = verify(tag, ops, sol)
+        assert cert.passed == accepted, (i, cert.failures)
+        if not accepted:
+            assert cert.residuals["range"] == refusal, i
+        verdicts.add(accepted)
     assert verdicts == {True, False}
 
 

@@ -1,9 +1,12 @@
 """Congruence equations A X A* + B Y B* = 0, = C, and = C Z.
 
-The inhomogeneous solver follows the substitution X^ = X A*, Y^ = B Y that
-reduces the congruence equation to a Sylvester-type equation; the C Z
-variant takes its PSD blocks from the projection onto the kernel of the
-block row [A -B], built from N(A), N(B) and R(A) intersect R(B).
+The inhomogeneous solver decides the two necessary range criteria, then
+builds the paper's pair, from the substitution X^ = X A*, Y^ = B Y that
+reduces the congruence equation to a Sylvester-type equation, and accepts
+it when :func:`~opeq.harness.verify` would: the paper's three hypotheses,
+under which the pair is exact, are not decided.  The C Z variant takes its
+PSD blocks from the projection onto the kernel of the block row [A -B],
+built from N(A), N(B) and R(A) intersect R(B).
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from .exceptions import (
     IntersectionNotInRangeC,
     NotSolvable,
 )
-from .kernel import DEFAULT_TOL, Factorization, ToleranceConfig, dagger, factor, fro, lapack, relative, shaped
-from .projections import RangeDecision, inclusion
+from .kernel import (DEFAULT_TOL, Factorization, ToleranceConfig, backward_error, dagger, factor, fro, lapack,
+                     parse_formula, relative, shaped)
+from .projections import RangeDecision, _decision, inclusion
 
 __all__ = [
     "CongruenceDiagnosis",
@@ -34,6 +38,7 @@ __all__ = [
 
 
 SIGNATURE = "A(m,p), B(m,q), C(m,m) -> X(p,p), Y(q,q)"
+FORMULA = "A X A* + B Y B* = C"
 CZ_SIGNATURE = "A(m,p), B(m,q), C(m,n) -> X(p,p), Y(q,q), Z(n,m)"
 # The free parameters of the homogeneous solutions, after the operands they go with.
 PARAMETER_SIGNATURE = "A(m,p), B(m,q), V1(q,p), V2(m,p), V3(q,m)"
@@ -42,61 +47,54 @@ INTERSECTION_SIGNATURE = "A(m,p), B(m,q)"
 
 @dataclass(frozen=True)
 class CongruenceDiagnosis:
-    """Hypotheses and solvability criteria for A X A* + B Y B* = C.
+    """Solvability certificate for A X A* + B Y B* = C.
 
-    Hypotheses: R(C) in R(B), R(C*) in R(A), and R(C* P_A) in N(B*), the last held when
-    ``hyp_cstar_pa_in_nbstar`` = ||B* C* P_A||_F, relative to ||B||_2 ||C||_F, is at most ``residual_rel``.
-    Criteria (necessary and, under the hypotheses, sufficient):
-    R(C N_{B*}) in R(A) and R(C N_{A*}) in R(B), i.e. N_{A*} C N_{B*} = 0 = N_{B*} C N_{A*}.
+    ``cond_cnbstar_in_a``  R(C N_{B*}) in R(A), and ``cond_cnastar_in_b`` R(C N_{A*}) in R(B): the necessary
+                           criteria N_{A*} C N_{B*} = 0 = N_{B*} C N_{A*}
+    ``construction``       None when a criterion fails, and no pair is built; else the backward error
+                           :func:`~opeq.harness.verify` reads on the paper's pair X = A+ C N_{B*} (A+)*,
+                           Y = B+ C (B+)*, held up to ``residual_rel`` (the paper's three hypotheses, under
+                           which that pair is exact, are not decided)
+    ``solvable``           both criteria hold and verify certifies the pair
     """
 
-    hyp_c_in_b: RangeDecision
-    hyp_cstar_in_a: RangeDecision
-    hyp_cstar_pa_in_nbstar: float
     cond_cnbstar_in_a: RangeDecision
     cond_cnastar_in_b: RangeDecision
-    hypotheses_hold: bool
+    construction: RangeDecision | None
     solvable: bool
 
     @property
     def status(self) -> str:
-        """``unsolvable`` if a criterion fails (they are necessary), ``inconclusive`` if
-        both hold but a hypothesis of their sufficiency fails, else ``solvable``."""
-        if not (self.cond_cnbstar_in_a.holds and self.cond_cnastar_in_b.holds):
+        """``unsolvable`` if a criterion fails (they are necessary), ``inconclusive`` if both hold but
+        the paper's pair is not certified, else ``solvable``."""
+        if self.construction is None:
             return "unsolvable"
-        return "solvable" if self.hypotheses_hold else "inconclusive"
+        return "solvable" if self.solvable else "inconclusive"
 
 
 def diagnose_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> CongruenceDiagnosis:
     a, b, c = shaped(SIGNATURE, a, b, c)
-    return _diagnose(factor(a, tol), factor(b, tol), c, tol)
+    return _diagnose(factor(a, tol), factor(b, tol), c, tol)[0]
 
 
 def _criteria(fa: Factorization, fb: Factorization, c, tol):
-    """R(C N_{B*}) in R(A) and R(C N_{A*}) in R(B); R(C* N_{A*}) in R(B) is the first's adjoint."""
-    norm_c = fro(c)
-    return (
-        inclusion(fb.adjoint().right_n_a(c), fa, tol, scale=norm_c),
-        inclusion(fa.adjoint().right_n_a(c), fb, tol, scale=norm_c),
-    )
+    """R(C N_{B*}) in R(A), R(C N_{A*}) in R(B) and C N_{B*}; R(C* N_{A*}) in R(B) is the first's adjoint."""
+    norm_c, c_nbstar = fro(c), fb.adjoint().right_n_a(c)
+    cond2 = inclusion(fa.adjoint().right_n_a(c), fb, tol, scale=norm_c)
+    return inclusion(c_nbstar, fa, tol, scale=norm_c), cond2, c_nbstar
 
 
-def _diagnose(fa: Factorization, fb: Factorization, c, tol) -> CongruenceDiagnosis:
-    hyp_c_in_b = inclusion(c, fb, tol)
-    hyp_cstar_in_a = inclusion(dagger(c), fa, tol)
-    hyp3 = fro(dagger(fb.a) @ (dagger(c) @ fa.u))  # ||B* C* P_A||_F = ||B* C* U_A||_F
-    hyp3_ok = relative(hyp3, fb.norm * fro(c)) <= tol.residual_rel
-    cond1, cond2 = _criteria(fa, fb, c, tol)
-    hypotheses_hold = hyp_c_in_b.holds and hyp_cstar_in_a.holds and hyp3_ok
-    return CongruenceDiagnosis(
-        hyp_c_in_b=hyp_c_in_b,
-        hyp_cstar_in_a=hyp_cstar_in_a,
-        hyp_cstar_pa_in_nbstar=hyp3,
-        cond_cnbstar_in_a=cond1,
-        cond_cnastar_in_b=cond2,
-        hypotheses_hold=hypotheses_hold,
-        solvable=hypotheses_hold and cond1.holds and cond2.holds,
-    )
+def _diagnose(fa: Factorization, fb: Factorization, c, tol):
+    """The diagnosis and the paper's pair, None when a criterion fails; a NaN backward error raises.  The pair
+    runs through x^ = pinv(A) C N_{B*} and y^* = pinv(B) C*, each lifted by one more reduced solve."""
+    cond1, cond2, c_nbstar = _criteria(fa, fb, c, tol)
+    if not (cond1.holds and cond2.holds):
+        return CongruenceDiagnosis(cond1, cond2, construction=None, solvable=False), None
+    x = fa.adjoint().right_pinv(fa.pinv(c_nbstar))
+    y = dagger(fb.adjoint().right_pinv(fb.pinv(dagger(c))))
+    mats = {"A": fa.a, "B": fb.a, "C": c, "X": x, "Y": y}
+    decision = _decision(backward_error(parse_formula(FORMULA, SIGNATURE), mats), fa, tol)
+    return CongruenceDiagnosis(cond1, cond2, construction=decision, solvable=decision.holds), (x, y)
 
 
 def homogeneous_congruence(a, b, v1, v2, v3, tol: ToleranceConfig = DEFAULT_TOL):
@@ -131,13 +129,11 @@ def solve_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
 
     Acts on the diagnosis's :attr:`~CongruenceDiagnosis.status`: a failing
     range criterion raises :class:`NotSolvable`; criteria that hold while
-    one of the three hypotheses fails raise :class:`HypothesisViolated`.
-    The construction runs through x^ = pinv(A) C N_{B*} and
-    y^* = pinv(B) C*, each lifted by one more reduced solve.
+    :func:`~opeq.harness.verify` does not certify the paper's pair raise
+    :class:`HypothesisViolated`.  Otherwise the pair is returned.
     """
     a, b, c = shaped(SIGNATURE, a, b, c)
-    fa, fb = factor(a, tol), factor(b, tol)
-    diag = _diagnose(fa, fb, c, tol)
+    diag, pair = _diagnose(factor(a, tol), factor(b, tol), c, tol)
     if diag.status == "unsolvable":
         raise NotSolvable(
             "A X A* + B Y B* = C has no solution: "
@@ -148,18 +144,9 @@ def solve_congruence(a, b, c, tol: ToleranceConfig = DEFAULT_TOL):
             diagnosis=diag,
         )
     if diag.status == "inconclusive":
-        failing = [f"{name} (residual {dec.residual:.3e})"
-                   for name, dec in (("R(C) in R(B)", diag.hyp_c_in_b),
-                                     ("R(C*) in R(A)", diag.hyp_cstar_in_a))
-                   if not dec.holds]
-        if not failing:
-            failing.append(f"R(C* P_A) in N(B*) (||B* C* P_A|| = {diag.hyp_cstar_pa_in_nbstar:.3e})")
-        raise HypothesisViolated("hypothesis failed: " + "; ".join(failing))
-    xhat = fa.pinv(fb.adjoint().right_n_a(c))
-    yhat_star = fb.pinv(dagger(c))
-    x = fa.adjoint().right_pinv(xhat)
-    y = dagger(fb.adjoint().right_pinv(yhat_star))
-    return x, y, diag
+        raise HypothesisViolated("both criteria hold, but the paper's pair is not certified: "
+                                 f"backward error {diag.construction.residual:.3e}")
+    return *pair, diag
 
 
 @dataclass(frozen=True)

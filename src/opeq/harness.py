@@ -185,7 +185,7 @@ def _gen_congruence(spec: InstanceSpec, rng) -> dict:
     A-only part, a B-only part, and at least one leftover direction so that
     B stays rank deficient.  C gets columns in R(B) orthogonal to R(A) with
     rows in S, plus a second component with columns in S and rows in the
-    A-only part; both satisfy the hypotheses, and the second one makes the
+    A-only part; both satisfy the paper's hypotheses, and the second one makes the
     solved X nonzero.  The violating variant adds a rank-one term whose row
     lies in the A-only part, which breaks R(C N_{B*}) in R(A) only.
     """
@@ -221,13 +221,9 @@ def _gen_congruence(spec: InstanceSpec, rng) -> dict:
         c = c + q_s @ sig2 @ q_a.conj().T
     if spec.family == "congruence-criterion-violating":
         c = c + q_w[:, :1] @ q_a[:, :1].conj().T
-    diag = congruence.diagnose_congruence(a, b, c)
-    want_solvable = spec.family == "congruence-solvable"
-    if not diag.hypotheses_hold or diag.solvable != want_solvable:
-        raise ToleranceAnomaly(
-            f"generated {spec.family} instance failed its contract "
-            f"(hypotheses {diag.hypotheses_hold}, solvable {diag.solvable})"
-        )
+    status = congruence.diagnose_congruence(a, b, c).status
+    if status != ("solvable" if spec.family == "congruence-solvable" else "unsolvable"):
+        raise ToleranceAnomaly(f"generated {spec.family} instance failed its contract (status {status})")
     return {"A": a, "B": b, "C": c}
 
 
@@ -366,7 +362,7 @@ def solvability_necessity_check(a, b, c, x, y, tol: ToleranceConfig = DEFAULT_TO
     cert = verify("congruence", {"A": a, "B": b, "C": c}, {"X": x, "Y": y}, tol)
     if not cert.passed:
         raise NotASolution(f"(x, y) does not solve A X A* + B Y B* = C: {', '.join(cert.failures)} failed")
-    inc1, inc2 = congruence._criteria(factor(a, tol), factor(b, tol), c, tol)
+    inc1, inc2, _ = congruence._criteria(factor(a, tol), factor(b, tol), c, tol)
     return NecessityReport(cnbstar_in_a=inc1, cnastar_in_b=inc2,
                            passed=inc1.holds and inc2.holds)
 
@@ -450,7 +446,7 @@ EQUATIONS = {
                           sylvester.PARAMETER_SIGNATURE),
     "orthogonal": Equation(sylvester.ORTHOGONAL_SIGNATURE, "A X + B Y = C", _solve_orthogonal,
                            _verify_orthogonal),
-    "congruence": Equation(congruence.SIGNATURE, "A X A* + B Y B* = C", _solve_congruence, None,
+    "congruence": Equation(congruence.SIGNATURE, congruence.FORMULA, _solve_congruence, None,
                            _diagnose_congruence),
     "congruence-cz": Equation(congruence.CZ_SIGNATURE, "A X A* + B Y B* = C Z", _solve_congruence_cz,
                               _verify_congruence_cz),

@@ -512,12 +512,27 @@ def test_json_report_is_stable(tmp_path, capsys):
 
 
 def test_diagnose_congruence_inconclusive_status(tmp_path, capsys):
-    files = save_instance(tmp_path, A=np.diag([1.0, 0.0]))
+    # Both criteria hold, but the paper's pair is 0 and leaves all of C.
+    files = save_instance(tmp_path, A=np.diag([1.0, 0.0]), C=[[0.0, 0.0], [1.0, 0.0]])
     code = run_command(["diagnose", "congruence", "--A", files["A"], "--B", files["A"],
-                        "--C", files["A"], "--json"])
+                        "--C", files["C"], "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["status"] == "inconclusive"
+    assert report["decisions"]["construction"] == {"holds": False, "rank_data": {"rank_a": 1}, "residual": 1.0}
+
+
+def test_solve_congruence_where_the_paper_hypotheses_fail(tmp_path, capsys):
+    # A = B = C = I breaks R(C* P_A) in N(B*), yet the paper's pair X = 0, Y = I is exact.
+    eye = np.eye(3)
+    files = save_instance(tmp_path, A=eye)
+    code = run_command(["solve", "congruence", "--A", files["A"], "--B", files["A"], "--C", files["A"],
+                        "--json", "--out", str(tmp_path / "out")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["certificate"]["passed"]
+    assert report["certificate"]["residuals"]["equation"] == 0.0
+    assert not load_matrix(tmp_path / "out" / "X.json").any()
+    np.testing.assert_array_equal(load_matrix(tmp_path / "out" / "Y.json"), eye)
 
 
 def test_solve_orthogonal_and_cz_commands(tmp_path, capsys):
@@ -649,7 +664,7 @@ def test_solve_congruence_unsolvable_reports_diagnosis(tmp_path, capsys):
     assert report["status"] == "unsolvable"
     assert {"cond_cnbstar_in_a", "cond_cnastar_in_b"} <= set(report["decisions"])
     assert not report["decisions"]["cond_cnbstar_in_a"]["holds"]
-    assert report["hypotheses_hold"] and report["decisions"]["hyp_c_in_b"]["holds"]
+    assert "construction" not in report["decisions"]
 
 
 def test_solve_sylvester_seed_draws_a_homogeneous_part(tmp_path, capsys):
@@ -812,8 +827,13 @@ CONTRACT = {
     "congruence-criteria-fail": (
         {"A": np.diag([1.0, 0.0]), "B": np.diag([1.0, 0.0]), "C": np.diag([0.0, 1.0])},
         "congruence", 2, "unsolvable", None),
+    # R(C* P_A) in N(B*) fails, but the paper's pair X = 0, Y = diag(1,0) is exact.
     "congruence-hypothesis-fails": (
         {"A": np.diag([1.0, 0.0]), "B": np.diag([1.0, 0.0]), "C": np.diag([1.0, 0.0])},
+        "congruence", 0, "solvable", {"X": np.zeros((2, 2)), "Y": np.diag([1.0, 0.0])}),
+    # Both criteria hold, but the paper's pair is 0 and the instance has no solution.
+    "congruence-inconclusive": (
+        {"A": np.diag([1.0, 0.0]), "B": np.diag([1.0, 0.0]), "C": np.array([[0.0, 0.0], [1.0, 0.0]])},
         "congruence", 1, "inconclusive", None),
     "congruence-solvable": ("congruence-solvable", "congruence", 0, "solvable", None),
     "congruence-criterion-violating": (

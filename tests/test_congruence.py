@@ -21,7 +21,7 @@ from opeq import (
 from opeq.harness import InstanceSpec, generate, ranked_matrix, verify
 from opeq.rng import Xoshiro256StarStar, complex_normal_matrix
 
-# worked 2x2 solvable instance: hypotheses and criteria all pass
+# worked 2x2 solvable instance: the criteria pass and the paper's pair X = 0, Y = C is exact
 A_OK = np.diag([1.0, 0.0])
 B_OK = np.eye(2)
 C_OK = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -29,8 +29,8 @@ C_OK = np.array([[0.0, 0.0], [1.0, 0.0]])
 
 def test_diagnose_worked_instance():
     diag = diagnose_congruence(A_OK, B_OK, C_OK)
-    assert diag.hypotheses_hold and diag.solvable
-    assert diag.hyp_cstar_pa_in_nbstar <= 1e-14
+    assert diag.status == "solvable" and diag.solvable
+    assert diag.construction.holds and diag.construction.residual == 0.0
 
 
 def test_solve_worked_instance():
@@ -49,17 +49,17 @@ def test_solve_zero_rhs():
 
 
 def test_solve_worked_violating_instance():
-    # hypotheses pass but C N_{B*} has a column outside R(A)
+    # C N_{B*} has a column outside R(A), so no pair is built
     with pytest.raises(NotSolvable) as err:
         solve_congruence(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), C_OK)
     diag = err.value.diagnosis
-    assert diag.hypotheses_hold
     assert not diag.cond_cnbstar_in_a.holds
+    assert diag.construction is None and diag.status == "unsolvable"
 
 
 def test_solve_rejects_failed_hypothesis():
-    # R(C) is not inside R(B)
-    with pytest.raises(HypothesisViolated):
+    # R(C) is not inside R(B), and the paper's pair is 0: the refusal quotes its backward error
+    with pytest.raises(HypothesisViolated, match=r"not certified: backward error 1\.000e\+00$"):
         solve_congruence(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), C_OK)
 
 
@@ -91,13 +91,15 @@ def test_necessity_check_vacuous_zero_solution():
 
 
 def test_diagnose_inconclusive_when_hypothesis_fails():
-    # criteria hold trivially (C N_B* = 0 = C N_A*) while B* C* P_A != 0
+    # The criteria hold trivially (C N_B* = 0 = C N_A*), but R(C) is not in R(B) and the paper's pair is
+    # 0, which verify does not certify; no pair solves it, as B Y B* and A X A* vanish off the (1, 1) entry.
     a = np.diag([1.0, 0.0])
-    diag = diagnose_congruence(a, a, a)
+    diag = diagnose_congruence(a, a, C_OK)
     assert diag.cond_cnbstar_in_a.holds and diag.cond_cnastar_in_b.holds
-    assert not diag.hypotheses_hold and not diag.solvable
-    with pytest.raises(HypothesisViolated):
-        solve_congruence(a, a, a)
+    assert diag.status == "inconclusive" and not diag.solvable
+    zero = np.zeros((2, 2))
+    cert = verify("congruence", {"A": a, "B": a, "C": C_OK}, {"X": zero, "Y": zero})
+    assert not cert.passed and cert.residuals["equation"] == diag.construction.residual == 1.0
 
 
 def test_homogeneous_identity_operators():
@@ -274,14 +276,9 @@ def test_intersection_span_residual_is_the_angle_sine(sine):
     assert rep.sqrt_range_in_basis.residual == pytest.approx(sine, rel=1e-3)
 
 
-def test_hyp3_and_the_cz_right_side_match_their_dense_products():
-    # hyp3 applies P_A as U_A (no m x m product) and the C Z solver forms A X A* + B Y B*
-    # as (A W1)(A W1)* + (B W2)(B W2)*; both agree with the dense formulas to roundoff.
-    rng = Xoshiro256StarStar(5)
-    a, b, c = ranked_matrix(rng, 6, 5, 3), ranked_matrix(rng, 6, 4, 3), complex_normal_matrix(rng, 6, 6)
-    p_a = a @ np.linalg.pinv(a, rcond=1e-10)
-    dense = np.linalg.norm(b.conj().T @ c.conj().T @ p_a)
-    assert diagnose_congruence(a, b, c).hyp_cstar_pa_in_nbstar == pytest.approx(dense, rel=1e-12)
+def test_the_cz_right_side_matches_its_dense_product():
+    # The C Z solver forms A X A* + B Y B* as (A W1)(A W1)* + (B W2)(B W2)*, which agrees with the
+    # dense formula to roundoff.
     ops = generate(InstanceSpec(seed=2, family="equal-range-pair", shape=(6, 5, 4, 3, 2)))
     a, b = ops["A"], ops["B"]
     x, y, z, _ = solve_congruence_cz(a, b, a)

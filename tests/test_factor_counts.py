@@ -294,6 +294,14 @@ REFUSALS = {
 }
 
 
+# Congruence entry point -> its call on a congruence-criterion-violating instance.  A failing criterion
+# refuses before the paper's pair is built, so the counts are those of the solvable pins too.
+CONGRUENCE_REFUSALS = {
+    "diagnose_congruence": lambda o: opeq.diagnose_congruence(o["A"], o["B"], o["C"]),
+    "solve_congruence": lambda o: opeq.solve_congruence(o["A"], o["B"], o["C"]),
+}
+
+
 def refuse(call):
     try:
         diag = call()
@@ -302,14 +310,27 @@ def refuse(call):
     assert not diag.solvable
 
 
+def refusal_counts(forget, counts, family, call):
+    """(SVD, eigendecomposition, QR, finiteness scan) counts of ``call`` refusing the ``family`` instance."""
+    ops = instance(family)
+    measured = []
+    for count in counts:
+        forget()
+        measured.append(count(lambda: refuse(lambda: call(ops))))
+    return tuple(measured)
+
+
 @pytest.mark.parametrize("name", list(REFUSALS))
 def test_sylvester_refusal_counts(forget, svd_count, eig_count, qr_count, scan_count, name):
-    ops = instance("sylvester-unsolvable")
-    measured = []
-    for count in (svd_count, eig_count, qr_count, scan_count):
-        forget()
-        measured.append(count(lambda: refuse(lambda: REFUSALS[name](ops))))
-    assert tuple(measured) == (2, 0, 0, 5)
+    counts = (svd_count, eig_count, qr_count, scan_count)
+    assert refusal_counts(forget, counts, "sylvester-unsolvable", REFUSALS[name]) == (2, 0, 0, 5)
+
+
+@pytest.mark.parametrize("name", list(CONGRUENCE_REFUSALS))
+def test_congruence_refusal_counts(forget, svd_count, eig_count, qr_count, scan_count, name):
+    counts = (svd_count, eig_count, qr_count, scan_count)
+    call = CONGRUENCE_REFUSALS[name]
+    assert refusal_counts(forget, counts, "congruence-criterion-violating", call) == (2, 0, 0, 5)
 
 
 def fingerprint(value) -> bytes:

@@ -146,13 +146,14 @@ def test_scaled_equality_pair_contract():
 
 
 def test_congruence_families_contract():
+    # The paper's hypotheses on these families are checked in tests/test_oracles.py.
     for seed in range(3):
         out = generate(InstanceSpec(seed=seed, family="congruence-solvable"))
         diag = diagnose_congruence(out["A"], out["B"], out["C"])
-        assert diag.hypotheses_hold and diag.solvable
+        assert diag.status == "solvable" and diag.solvable
         out = generate(InstanceSpec(seed=seed, family="congruence-criterion-violating"))
         diag = diagnose_congruence(out["A"], out["B"], out["C"])
-        assert diag.hypotheses_hold and not diag.solvable
+        assert diag.status == "unsolvable" and not diag.solvable
 
 
 def test_infeasible_specs_raise():
@@ -424,8 +425,8 @@ def test_certificate_holds_only_the_answers_residuals(tag):
 
 
 def test_verify_passes_a_solution_where_a_hypothesis_fails():
-    # A = B = C = I breaks the hypothesis R(C* P_A) in N(B*) of solve_congruence,
-    # which is sufficient only; X = I, Y = 0 solves the equation all the same.
+    # A = B = C = I breaks the paper's hypothesis R(C* P_A) in N(B*), which is
+    # sufficient only; X = I, Y = 0 solves the equation all the same.
     eye = np.eye(2)
     cert = verify("congruence", {"A": eye, "B": eye, "C": eye}, {"X": eye, "Y": np.zeros((2, 2))})
     assert cert.passed and cert.residuals["equation"] == 0.0

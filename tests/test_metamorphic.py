@@ -80,8 +80,8 @@ def test_sylvester_verdict_is_invariant(family, name):
 def test_sylvester_verdict_survives_overflow_or_fails_closed(family):
     """Scaling every operand, or C alone, by 2^600 or 2^1000 overflows ||C||_F.  The diagnosis
     then keeps the family's verdict or raises an OpeqError (a decision whose scale overflowed);
-    it never reads the other verdict.  Scalings towards underflow, and the congruence families,
-    can still flip until operands are normalised at entry."""
+    it never reads the other verdict.  Scalings towards underflow can still flip until operands
+    are normalised at entry."""
     for seed in range(4):
         a, b, c = instance(family, seed)
         for k in (600, 1000):
@@ -93,6 +93,24 @@ def test_sylvester_verdict_survives_overflow_or_fails_closed(family):
                 except OpeqError:
                     continue
                 assert verdict == (family == "sylvester-solvable"), (seed, k)
+
+
+@pytest.mark.parametrize("family", ["congruence-solvable", "congruence-criterion-violating"])
+def test_congruence_verdict_survives_overflow_or_fails_closed(family):
+    """Scaling every operand, or C alone, by 2^300, 2^600 or 2^1000 keeps the family's status or raises an
+    OpeqError; at 2^300 with every operand scaled no norm overflows, so the paper's pair is certified."""
+    want = "solvable" if family == "congruence-solvable" else "unsolvable"
+    for seed in range(4):
+        a, b, c = instance(family, seed)
+        for k in (300, 600, 1000):
+            s = 2.0 ** k
+            for scaled in ((s * a, s * b, s * c), (a, b, s * c)):
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        status = diagnose_congruence(*scaled).status
+                except OpeqError:
+                    continue
+                assert status == want, (seed, k)
 
 
 @pytest.mark.parametrize("name", list(CONGRUENCE_MAPS))
@@ -108,8 +126,8 @@ def test_congruence_status_is_invariant(family, name):
 
 @pytest.mark.parametrize("family", ["congruence-solvable", "congruence-criterion-violating"])
 def test_congruence_unsolvable_verdict_is_adjoint_invariant(family):
-    # A X A* + B Y B* = C  <=>  A X* A* + B Y* B* = C*.  Only the necessary criteria are
-    # compared: the hypotheses are not adjoint-symmetric, so "solvable" may turn "inconclusive".
+    # A X A* + B Y B* = C  <=>  A X* A* + B Y* B* = C*.  Only the necessary criteria are compared:
+    # the paper's pair for C* is not the adjoint of the pair for C, so "solvable" may turn "inconclusive".
     for seed in SEEDS:
         a, b, c = instance(family, seed)
         unsolvable = diagnose_congruence(a, b, c).status == "unsolvable"

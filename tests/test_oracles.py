@@ -227,6 +227,66 @@ def test_congruence_generic_instances_match_lstsq():
         assert (status == "unsolvable") == (kind != 0), (i, status)
 
 
+def paper_hypotheses_hold(a, b, c, tol=DEFAULT_TOL):
+    """The paper's hypotheses R(C) in R(B), R(C*) in R(A) and R(C* P_A) in N(B*), from dense pinv projections,
+    each up to ``residual_rel`` of ||C||_F (times ||B||_2 for the third, whose product carries B)."""
+    p_a, p_b = (m @ np.linalg.pinv(m, rcond=1e-10) for m in (a, b))
+    c_star, norm_c = c.conj().T, np.linalg.norm(c)
+    residuals = (np.linalg.norm(c - p_b @ c) / norm_c, np.linalg.norm(c_star - p_a @ c_star) / norm_c,
+                 np.linalg.norm(b.conj().T @ c_star @ p_a) / (np.linalg.norm(b, 2) * norm_c))
+    return max(residuals) <= tol.residual_rel
+
+
+def paper_pair(a, b, c):
+    """X = A+ C N_{B*} (A+)*, Y = B+ C (B+)*, applied through the package's factorizations."""
+    fa, fb = factor(a), factor(b)
+    return {"X": fa.adjoint().right_pinv(fa.pinv(fb.adjoint().right_n_a(c))),
+            "Y": fb.adjoint().right_pinv(fb.pinv(c.conj().T)).conj().T}
+
+
+def check_the_paper_theorem(a, b, c):
+    """Criteria and hypotheses make the verdict solvable; with both criteria holding, the verdict is verify's
+    certificate of the paper's pair, residual to the bit, and a solvable instance is solved by that pair."""
+    diag = diagnose_congruence(a, b, c)
+    criteria = diag.cond_cnbstar_in_a.holds and diag.cond_cnastar_in_b.holds
+    if criteria and paper_hypotheses_hold(a, b, c):
+        assert diag.status == "solvable"
+    assert (diag.construction is None) == (not criteria) == (diag.status == "unsolvable")
+    if criteria:
+        pair = paper_pair(a, b, c)
+        cert = verify("congruence", {"A": a, "B": b, "C": c}, pair)
+        assert cert.passed == diag.solvable and cert.residuals["equation"] == diag.construction.residual
+    if diag.solvable:
+        x, y, _ = solve_congruence(a, b, c)
+        assert np.array_equal(x, pair["X"]) and np.array_equal(y, pair["Y"])
+    return diag.status
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_congruence_families_satisfy_the_paper_theorem(k):
+    """Both families are built to satisfy the paper's hypotheses, so their verdicts follow from the criteria."""
+    for family, status in (("congruence-solvable", "solvable"), ("congruence-criterion-violating", "unsolvable")):
+        for seed in range(10):
+            ops = generate(InstanceSpec(seed=seed, family=family, shape=(6, 5, 4, 3, k)))
+            assert paper_hypotheses_hold(ops["A"], ops["B"], ops["C"]), (family, seed)
+            assert check_the_paper_theorem(ops["A"], ops["B"], ops["C"]) == status, (family, seed)
+
+
+def test_congruence_margin_band_verdict_is_the_certificate():
+    """C + eps ||C||_F E / ||E||_F on congruence-solvable instances, eps = 10^(-12 + 6u), straddles residual_rel:
+    the paper's theorem holds, and the verdict is the pair's certificate whenever the criteria hold."""
+    statuses = set()
+    for i in range(400):
+        rng = Xoshiro256StarStar(10000 + i)
+        eps = 10.0 ** (-12 + 6 * rng.uniform())
+        m = 4 + i % 3
+        ops = generate(InstanceSpec(seed=20000 + i, family="congruence-solvable", shape=(m, m, m, m, 1)))
+        e = complex_normal_matrix(rng, m, m)
+        c = ops["C"] + eps * np.linalg.norm(ops["C"]) * e / np.linalg.norm(e)
+        statuses.add(check_the_paper_theorem(ops["A"], ops["B"], c))
+    assert {"solvable", "unsolvable"} <= statuses
+
+
 def test_orthogonal_verdicts_match_lstsq():
     rng = Xoshiro256StarStar(307)
     for seed in range(10):
